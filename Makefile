@@ -47,8 +47,12 @@ race:
 	$(GO) test -race ./internal/emu/... ./internal/capture/... ./internal/obs/...
 	$(GO) test -race -run 'TestRunPoints|TestParallelSweep' ./experiments
 
+# fuzz runs every fuzz target, one go test -fuzz call each (the flag
+# accepts a single target per package), each for FUZZTIME.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzTrackerTransitions -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzTrackerTransitions$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzFlowIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 
 # bench records the perf trajectory: engine/discipline micro-benchmarks
 # to stderr, and the full experiment suite's metrics + wall times to

@@ -19,6 +19,8 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/sim"
+	"taq/internal/topology"
+	"taq/internal/workload"
 )
 
 func main() {
@@ -35,6 +37,14 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the final Prometheus-format metrics snapshot to this file")
 	)
 	flag.Parse()
+	switch {
+	case !(*bw > 0):
+		fmt.Fprintf(os.Stderr, "taqmbox: -bw must be positive, got %g\n", *bw)
+		os.Exit(2)
+	case !(*duration > 0):
+		fmt.Fprintf(os.Stderr, "taqmbox: -duration must be positive, got %g\n", *duration)
+		os.Exit(2)
+	}
 
 	var rec *obs.Recorder
 	var closeEvents func() error
@@ -58,16 +68,26 @@ func main() {
 	}
 
 	virtual := sim.FromSeconds(*duration)
-	tb := emu.NewTestbed(emu.TestbedConfig{
-		Seed:          *seed,
+	queue := topology.DropTail
+	if *useTAQ {
+		queue = topology.TAQ
+	}
+	tb, err := emu.NewTestbed(emu.TestbedConfig{
+		Net: topology.Config{
+			Seed:       *seed,
+			Bandwidth:  link.Bps(*bw),
+			Queue:      queue,
+			SliceWidth: virtual / 4,
+		},
 		Speedup:       *speedup,
-		Bandwidth:     link.Bps(*bw),
-		UseTAQ:        *useTAQ,
-		SliceWidth:    virtual / 4,
 		Events:        rec,
 		HTTPAddr:      *httpAddr,
 		EnableMetrics: *metricsOut != "",
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "taqmbox:", err)
+		os.Exit(2)
+	}
 	if tb.HTTPErr != nil {
 		fmt.Fprintln(os.Stderr, "taqmbox: http:", tb.HTTPErr)
 		os.Exit(1)
@@ -75,13 +95,7 @@ func main() {
 	if tb.HTTP != nil {
 		fmt.Printf("live endpoint: http://%s/vars (pprof under /debug/pprof/)\n", tb.HTTP.Addr())
 	}
-	for i := 0; i < *flows; i++ {
-		tb.AddBulkFlow()
-	}
-	queue := "droptail"
-	if *useTAQ {
-		queue = "taq"
-	}
+	tb.Snapshot(func() { workload.AddBulkFlows(tb.Net, *flows, 0) })
 	fmt.Printf("middlebox=%s bandwidth=%.0fbps flows=%d (%.0fx speedup, %.1fs wall)\n",
 		queue, *bw, *flows, *speedup, *duration / *speedup)
 
@@ -90,15 +104,11 @@ func main() {
 	for i := 1; i <= 4; i++ {
 		tb.RunFor(step)
 		tb.Snapshot(func() {
-			slices := i
-			loss := 0.0
-			if tb.QueueArrivals > 0 {
-				loss = float64(tb.QueueDrops) / float64(tb.QueueArrivals)
-			}
+			n := tb.Net
 			fmt.Printf("t=%4.0fs  shortJFI=%.3f  loss=%.3f  arrivals=%d\n",
-				(sim.Time(i) * step).Seconds(), tb.Slicer.MeanSliceJFI(0, slices), loss, tb.QueueArrivals)
-			if tb.Middlebox != nil {
-				cur := tb.Middlebox.Stats.Snapshot()
+				(sim.Time(i) * step).Seconds(), n.Slicer.MeanSliceJFI(0, i), n.LossRate(), n.QueueArrivals)
+			if n.Middlebox != nil {
+				cur := n.Middlebox.Stats.Snapshot()
 				fmt.Printf("         interval: %s\n", cur.Delta(prev))
 				prev = cur
 			}
@@ -111,7 +121,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "taqmbox:", err)
 			os.Exit(1)
 		}
-		if err := tb.Metrics.Snapshot().WriteText(f); err != nil {
+		if err := tb.Net.Metrics.Snapshot().WriteText(f); err != nil {
 			fmt.Fprintln(os.Stderr, "taqmbox: metrics:", err)
 			os.Exit(1)
 		}

@@ -49,6 +49,23 @@ func newEventRecorder(path string) (*obs.Recorder, func() error) {
 	}
 }
 
+// checkFlags rejects scenario flags that topology would silently
+// replace with a default (a zero bandwidth or RTT) or that leave
+// nothing to run.
+func checkFlags(bw, rtt float64, buffer int, duration float64) error {
+	switch {
+	case !(bw > 0):
+		return fmt.Errorf("-bw must be positive, got %g", bw)
+	case !(rtt > 0):
+		return fmt.Errorf("-rtt must be positive, got %g", rtt)
+	case buffer < 0:
+		return fmt.Errorf("-buffer must not be negative, got %d", buffer)
+	case !(duration > 0):
+		return fmt.Errorf("-duration must be positive, got %g", duration)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		bw       = flag.Float64("bw", 600e3, "bottleneck bandwidth (bits/second)")
@@ -76,6 +93,10 @@ func main() {
 		flightP99  = flag.Float64("flight-p99", 0, "flight trigger: FCT p99 seconds (0 = off)")
 	)
 	flag.Parse()
+	if err := checkFlags(*bw, *rtt, *buffer, *duration); err != nil {
+		fmt.Fprintln(os.Stderr, "taqsim:", err)
+		os.Exit(2)
+	}
 
 	tcpCfg := tcp.DefaultConfig()
 	tcpCfg.SACK = *sack
@@ -92,7 +113,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "taqsim:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	if *events != "" {
 		rec, closeEvents := newEventRecorder(*events)

@@ -6,6 +6,8 @@ import (
 	"taq/internal/emu"
 	"taq/internal/link"
 	"taq/internal/sim"
+	"taq/internal/topology"
+	"taq/internal/workload"
 )
 
 // TestbedPoint is one prototype run of Fig 11: the real-time
@@ -71,16 +73,10 @@ func RunTestbedFairness(opt TestbedOptions) TestbedResult {
 }
 
 func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPoint {
-	tb := emu.NewTestbed(emu.TestbedConfig{
-		Seed:       opt.Seed,
-		Speedup:    opt.Speedup,
-		Bandwidth:  bw,
-		UseTAQ:     useTAQ,
-		SliceWidth: opt.SliceWidth,
-	})
-	for i := 0; i < n; i++ {
-		tb.AddBulkFlow()
-	}
+	tb := mustTestbed(topology.Config{
+		Seed: opt.Seed, Bandwidth: bw, Queue: testbedQueue(useTAQ), SliceWidth: opt.SliceWidth,
+	}, opt.Speedup)
+	tb.Snapshot(func() { workload.AddBulkFlows(tb.Net, n, 0) })
 	tb.RunFor(opt.VirtualDuration)
 	tb.Stop()
 	pt := TestbedPoint{
@@ -91,12 +87,28 @@ func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPo
 	}
 	tb.Snapshot(func() {
 		slices := int(opt.VirtualDuration / opt.SliceWidth)
-		pt.ShortJFI = tb.Slicer.MeanSliceJFI(1, slices)
-		if tb.QueueArrivals > 0 {
-			pt.LossRate = float64(tb.QueueDrops) / float64(tb.QueueArrivals)
-		}
+		pt.ShortJFI = tb.Net.Slicer.MeanSliceJFI(1, slices)
+		pt.LossRate = tb.Net.LossRate()
 	})
 	return pt
+}
+
+// mustTestbed is emu.NewTestbed for the testbed experiments' fixed
+// scenarios (panics on error, like topology.MustNew).
+func mustTestbed(net topology.Config, speedup float64) *emu.Testbed {
+	tb, err := emu.NewTestbed(emu.TestbedConfig{Net: net, Speedup: speedup})
+	if err != nil {
+		panic(err)
+	}
+	return tb
+}
+
+// testbedQueue maps the testbed runs' TAQ switch to a discipline.
+func testbedQueue(useTAQ bool) topology.QueueKind {
+	if useTAQ {
+		return topology.TAQ
+	}
+	return topology.DropTail
 }
 
 // Table renders the testbed comparison.

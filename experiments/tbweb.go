@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"taq/internal/emu"
 	"taq/internal/link"
 	"taq/internal/metrics"
 	"taq/internal/sim"
+	"taq/internal/topology"
 	"taq/internal/trace"
 	"taq/internal/workload"
 )
@@ -68,15 +68,10 @@ func RunTestbedWeb(opt TestbedWebOptions) TestbedWebResult {
 
 	var res TestbedWebResult
 	for _, useTAQ := range []bool{false, true} {
-		tb := emu.NewTestbed(emu.TestbedConfig{
-			Seed:      opt.Seed,
-			Speedup:   opt.Speedup,
-			Bandwidth: opt.Bandwidth,
-			UseTAQ:    useTAQ,
-		})
+		tb := mustTestbed(topology.Config{Seed: opt.Seed, Bandwidth: opt.Bandwidth, Queue: testbedQueue(useTAQ)}, opt.Speedup)
 		var sessions map[int]*workload.Session
 		tb.Engine.Post(func() {
-			sessions = workload.ReplayOn(workload.TestbedHost(tb), recs, 4, workload.ReplayASAP)
+			sessions = workload.Replay(tb.Net, recs, 4, workload.ReplayASAP)
 		})
 		tb.RunFor(opt.VirtualDuration)
 		tb.Stop()

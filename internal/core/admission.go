@@ -87,7 +87,6 @@ type admission struct {
 	cfg     Config
 	pools   admPoolTable
 	waiting []packet.PoolID
-	stats   *Stats
 	// lastForceAdmit paces Twait-guaranteed admissions to one pool
 	// per Twait while the loss rate stays above the threshold.
 	lastForceAdmit sim.Time
@@ -105,8 +104,9 @@ func (a *admission) threshold() float64 {
 	return a.cfg.PThresh * (1 - a.cfg.AdmitMargin)
 }
 
-// allowSyn decides whether the SYN of the given pool may proceed.
-func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) bool {
+// allowSyn decides whether the SYN of the given pool may proceed; an
+// admission is counted in st.
+func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64, st *Stats) bool {
 	if pool == packet.PoolNone {
 		return true
 	}
@@ -129,13 +129,13 @@ func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64)
 		// head of the FIFO), pacing admissions under persistent
 		// overload rather than opening the floodgates.
 		a.lastForceAdmit = now
-		a.admit(pool, pi)
+		a.admit(pool, pi, st)
 		a.mx.observeAdmission(obs.AdmissionForced)
 		a.rec.AdmissionDecision(now, pool, obs.AdmissionForced)
 		return true
 	case headOfLine && lossRate < a.threshold():
 		// Loss is low and this pool is next in line (or nobody waits).
-		a.admit(pool, pi)
+		a.admit(pool, pi, st)
 		a.mx.observeAdmission(obs.AdmissionAdmitted)
 		a.rec.AdmissionDecision(now, pool, obs.AdmissionAdmitted)
 		return true
@@ -161,15 +161,15 @@ func (a *admission) poolAdmitted(now sim.Time, pool packet.PoolID) bool {
 	return pi.admitted
 }
 
-// admit marks the pool admitted. pi must have been derived after the
-// last create (no create happens between derivation in allowSyn and
-// this call).
-func (a *admission) admit(pool packet.PoolID, pi *poolInfo) {
+// admit marks the pool admitted and counts it in st. pi must have been
+// derived after the last create (no create happens between derivation
+// in allowSyn and this call).
+func (a *admission) admit(pool packet.PoolID, pi *poolInfo, st *Stats) {
 	pi.admitted = true
 	a.removeWaiting(pool)
-	a.stats.PoolsAdmitted++
+	st.PoolsAdmitted++
 	if pi.waited {
-		a.stats.PoolsWaited++
+		st.PoolsWaited++
 	}
 }
 

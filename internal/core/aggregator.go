@@ -30,9 +30,10 @@ import (
 // flows while admission control is enabled, a small slice of the
 // packet path, and its critical section is a flat-table probe.
 //
-// A single-shard TAQ (the sim path) embeds a private Aggregator; with
-// one caller the atomics and the uncontended mutex are sequentially
-// exact, so shards=1 reproduces the pre-shard behavior byte for byte.
+// A standalone TAQ (New) is one shard over its own fresh Aggregator;
+// with one caller the atomics and the uncontended mutex are
+// sequentially exact, so shards=1 reproduces the pre-shard behavior
+// byte for byte.
 type Aggregator struct {
 	cfg Config
 
@@ -77,41 +78,15 @@ type Aggregator struct {
 	admMu      sync.Mutex
 	adm        admission
 	lastExpire sim.Time
-
-	// ownStats backs the admission counters when no owner's Stats was
-	// supplied (the shared, multi-shard case).
-	ownStats Stats
 }
 
 // NewAggregator creates the shared state for a bank of shards, with
-// the loss window opening at now. Admission counters accumulate in the
-// Aggregator's own Stats (read them via AdmissionStats).
+// the loss window opening at now.
 func NewAggregator(cfg Config, now sim.Time) *Aggregator {
 	g := &Aggregator{cfg: cfg}
-	g.adm = admission{cfg: cfg, stats: &g.ownStats}
+	g.adm = admission{cfg: cfg}
 	g.winStart.Store(int64(now))
 	return g
-}
-
-// newPrivateAggregator is the single-middlebox form used by New: the
-// admission counters land directly in the owning TAQ's Stats, exactly
-// where the pre-shard controller put them.
-func newPrivateAggregator(cfg Config, now sim.Time, stats *Stats) *Aggregator {
-	g := &Aggregator{cfg: cfg}
-	g.adm = admission{cfg: cfg, stats: stats}
-	g.winStart.Store(int64(now))
-	return g
-}
-
-// AdmissionStats returns the admission counters accumulated by a
-// shared aggregator (PoolsAdmitted, PoolsWaited; zero-valued fields
-// otherwise). A private aggregator reports through its owner's Stats
-// instead.
-func (g *Aggregator) AdmissionStats() Stats {
-	g.admMu.Lock()
-	s := g.ownStats
-	g.admMu.Unlock()
-	return s
 }
 
 // noteArrival counts one arrival into the shared loss window.
@@ -197,12 +172,13 @@ func (g *Aggregator) maybeRoll(now sim.Time) uint64 {
 // allowSyn is the cross-shard admission gate for SYNs of pooled flows
 // (§4.3). now is the calling shard's clock: shards may run on separate
 // engines, and the Twait arithmetic must use the caller's timeline.
+// An admission is counted in st, the calling shard's own Stats.
 //
 //taq:crossshard admission FIFO and Twait pacer are global across shards by definition
 //taq:allow(func) noblock admission seam: bounded flat-table critical section under admMu, taken only for pooled SYNs
-func (g *Aggregator) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) bool {
+func (g *Aggregator) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64, st *Stats) bool {
 	g.admMu.Lock()
-	ok := g.adm.allowSyn(now, pool, lossRate)
+	ok := g.adm.allowSyn(now, pool, lossRate, st)
 	g.admMu.Unlock()
 	return ok
 }

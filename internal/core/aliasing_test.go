@@ -65,13 +65,14 @@ func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
 	cfg.AdmissionControl = true
-	a := admission{cfg: cfg, stats: &Stats{}}
+	var st Stats
+	a := admission{cfg: cfg}
 
 	// Low loss: every head-of-line SYN admits immediately. 10k pools
 	// force several record-array doublings mid-sequence.
 	const pools = 10_000
 	for id := 1; id <= pools; id++ {
-		if !a.allowSyn(eng.Now(), packet.PoolID(id), 0) {
+		if !a.allowSyn(eng.Now(), packet.PoolID(id), 0, &st) {
 			t.Fatalf("pool %d blocked under zero loss", id)
 		}
 	}
@@ -80,8 +81,8 @@ func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 			t.Fatalf("pool %d lost its admission across table growth", id)
 		}
 	}
-	if a.stats.PoolsAdmitted != pools {
-		t.Fatalf("PoolsAdmitted = %d, want %d", a.stats.PoolsAdmitted, pools)
+	if st.PoolsAdmitted != pools {
+		t.Fatalf("PoolsAdmitted = %d, want %d", st.PoolsAdmitted, pools)
 	}
 }
 

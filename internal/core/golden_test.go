@@ -75,14 +75,44 @@ var goldenScenarios = []goldenScenario{
 	},
 }
 
-// runGolden executes one scenario and returns the JSONL event trace
-// and the control read-out series.
-func runGolden(t *testing.T, sc goldenScenario) (events, reads []byte) {
+// goldenBox is the middlebox surface the golden driver exercises;
+// *TAQ and *Sharded both provide it.
+type goldenBox interface {
+	Enqueue(*packet.Packet)
+	Dequeue() *packet.Packet
+	Len() int
+	ObserveReverse(*packet.Packet)
+	SetRecorder(*obs.Recorder)
+	Start()
+	Stop()
+	ActiveFlows() int
+	RecoveringFlows() int
+	StateCensus() Census
+	LossRate() float64
+	WaitingPools() int
+}
+
+// runGolden executes one scenario and returns the JSONL event trace,
+// the control read-out series and the middlebox. shards = 0 builds it
+// with New; shards ≥ 1 builds a Sharded on NewShardedOn with the one
+// engine repeated per shard (the read-out's fair share is shard 0's).
+func runGolden(t *testing.T, sc goldenScenario, shards int) (events, reads []byte, q goldenBox) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
 	sc.cfg(&cfg)
-	q := New(eng, cfg)
+	var fairShare func() float64
+	if shards == 0 {
+		mb := New(eng, cfg)
+		q, fairShare = mb, mb.FairShare
+	} else {
+		runs := make([]sim.Runner, shards)
+		for i := range runs {
+			runs[i] = eng
+		}
+		sh := NewShardedOn(runs, cfg)
+		q, fairShare = sh, sh.Shard(0).FairShare
+	}
 
 	var evBuf bytes.Buffer
 	sink := obs.NewJSONLSink(&evBuf)
@@ -109,7 +139,7 @@ func runGolden(t *testing.T, sc goldenScenario) (events, reads []byte) {
 			fmt.Fprintf(&rd, ",%d", c[FlowState(s)])
 		}
 		rd.WriteByte(',')
-		rd.WriteString(strconv.FormatFloat(q.FairShare(), 'g', -1, 64))
+		rd.WriteString(strconv.FormatFloat(fairShare(), 'g', -1, 64))
 		rd.WriteByte(',')
 		rd.WriteString(strconv.FormatFloat(q.LossRate(), 'g', -1, 64))
 		fmt.Fprintf(&rd, ",%d,%d\n", q.WaitingPools(), q.Len())
@@ -167,7 +197,7 @@ func runGolden(t *testing.T, sc goldenScenario) (events, reads []byte) {
 		_ = os.WriteFile(filepath.Join(dir, sc.name+".events"), evBuf.Bytes(), 0o644)
 		_ = os.WriteFile(filepath.Join(dir, sc.name+".reads"), rd.Bytes(), 0o644)
 	}
-	return evBuf.Bytes(), rd.Bytes()
+	return evBuf.Bytes(), rd.Bytes(), q
 }
 
 func hashHex(b []byte) string {
@@ -204,7 +234,7 @@ func TestGoldenTraces(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			events, reads := runGolden(t, sc)
+			events, reads, _ := runGolden(t, sc, 0)
 			if len(events) == 0 || len(reads) == 0 {
 				t.Fatal("scenario produced an empty trace")
 			}

@@ -213,7 +213,7 @@ func (f *classFIFO) Push(p *packet.Packet) {
 	}
 	f.items = append(f.items, p) //taq:allow noalloc amortized ring growth; Pop compacts in place
 	f.bytes += p.Size
-	f.occ[p.Flow]++ //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	f.occ[p.Flow]++ //taq:allow noalloc per-flow occupancy lives in the classFIFO.occ map until ROADMAP item 2d moves it into the flow record
 }
 
 // Pop removes and returns the head packet, or nil.
@@ -234,10 +234,10 @@ func (f *classFIFO) Pop() *packet.Packet {
 
 func (f *classFIFO) remove(p *packet.Packet) {
 	f.bytes -= p.Size
-	if f.occ[p.Flow] <= 1 { //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	if f.occ[p.Flow] <= 1 { //taq:allow noalloc per-flow occupancy lives in the classFIFO.occ map until ROADMAP item 2d moves it into the flow record
 		delete(f.occ, p.Flow)
 	} else {
-		f.occ[p.Flow]-- //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+		f.occ[p.Flow]-- //taq:allow noalloc per-flow occupancy lives in the classFIFO.occ map until ROADMAP item 2d moves it into the flow record
 	}
 }
 
@@ -251,7 +251,7 @@ func (f *classFIFO) BestVictim(score func(packet.FlowID) float64) (flow packet.F
 	// (occupancy, then score, then lowest flow id), so the winner is
 	// independent of iteration order; sorting here would put an
 	// O(n log n) pass on the per-drop hot path for nothing.
-	//taq:allow maprange,noalloc (total-order tie-break makes the max order-independent; the map itself is ROADMAP item 2)
+	//taq:allow maprange,noalloc (total-order tie-break makes the max order-independent; ranging the classFIFO.occ map stays until ROADMAP item 2d)
 	for fl, n := range f.occ {
 		s := score(fl)
 		switch {

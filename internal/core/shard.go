@@ -39,21 +39,9 @@ type Sharded struct {
 	rr     int
 }
 
-// NewSharded builds an n-shard middlebox with every shard driven by
-// the same runner — the simulation form. n < 1 is treated as 1.
-func NewSharded(run sim.Runner, cfg Config, n int) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	runs := make([]sim.Runner, n)
-	for i := range runs {
-		runs[i] = run
-	}
-	return NewShardedOn(runs, cfg)
-}
-
-// NewShardedOn builds one shard per runner — the emu form, where each
-// shard lives on its own engine (its own lock domain and timers). The
+// NewShardedOn builds one shard per runner. The emu form gives each
+// shard its own engine (its own lock domain and timers); the sim form
+// repeats one runner, driving every shard from one engine. The
 // aggregator's window opens at the first runner's clock.
 func NewShardedOn(runs []sim.Runner, cfg Config) *Sharded {
 	agg := NewAggregator(cfg, runs[0].Now())
@@ -170,16 +158,13 @@ func (s *Sharded) SetMetrics(mx *Metrics) {
 	}
 }
 
-// Stats sums the per-shard counters and the shared aggregator's
-// admission counters into one middlebox view.
+// Stats sums the per-shard counters into one middlebox view; each
+// shard counts the pools it admitted.
 func (s *Sharded) Stats() Stats {
 	var sum Stats
 	for _, sh := range s.shards {
 		sum.Add(&sh.Stats)
 	}
-	adm := s.agg.AdmissionStats()
-	sum.PoolsAdmitted += adm.PoolsAdmitted
-	sum.PoolsWaited += adm.PoolsWaited
 	return sum
 }
 

@@ -23,8 +23,8 @@ type TAQ struct {
 
 	// agg holds the loss window and the admission controller — in a
 	// sharded middlebox the only state shared between shards (see
-	// aggregator.go). A standalone TAQ owns a private aggregator, so
-	// both constructions run the identical code path.
+	// aggregator.go). A standalone TAQ is a shard over its own fresh
+	// aggregator, so there is one construction path.
 	agg *Aggregator
 	// winGenSeen is the last loss-window generation this shard rolled
 	// its serve counters for.
@@ -68,20 +68,16 @@ type TAQ struct {
 	Stats Stats
 }
 
-// New constructs a TAQ middlebox driven by run.
+// New constructs a TAQ middlebox driven by run: one shard over a fresh
+// aggregator of its own.
 func New(run sim.Runner, cfg Config) *TAQ {
-	t := &TAQ{cfg: cfg, run: run}
-	t.tracker = newTracker(run, cfg)
-	t.agg = newPrivateAggregator(cfg, run.Now(), &t.Stats)
-	t.fairShare = float64(cfg.Rate)
-	t.victimScoreFn = t.victimScore
-	return t
+	return NewShard(run, cfg, NewAggregator(cfg, run.Now()))
 }
 
 // NewShard constructs one shard of a sharded middlebox: a full TAQ
-// (tracker, flow store, class queues, scheduler) attached to a shared
-// aggregator instead of a private one. Admission counters accumulate
-// in the aggregator's Stats, not this shard's.
+// (tracker, flow store, class queues, scheduler) attached to the
+// aggregator agg. The pools this shard admits are counted in its own
+// Stats.
 func NewShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	t := &TAQ{cfg: cfg, run: run}
 	t.tracker = newTracker(run, cfg)
@@ -297,7 +293,7 @@ func (t *TAQ) Enqueue(p *packet.Packet) {
 	if t.cfg.AdmissionControl && p.Pool != packet.PoolNone {
 		switch p.Kind {
 		case packet.Syn:
-			if !t.agg.allowSyn(t.run.Now(), p.Pool, t.LossRate()) {
+			if !t.agg.allowSyn(t.run.Now(), p.Pool, t.LossRate(), &t.Stats) {
 				t.Stats.SynsBlocked++
 				t.dropPolicy(p, ClassNewFlow, false)
 				return

@@ -7,6 +7,7 @@ import (
 
 	"taq/internal/link"
 	"taq/internal/sim"
+	"taq/internal/topology"
 )
 
 func TestEngineSchedulesWithSpeedup(t *testing.T) {
@@ -111,12 +112,12 @@ func TestTestbedBulkFlowDelivers(t *testing.T) {
 	// stay well below what the OS timer wheel sustains: 200 Kbps =
 	// 50 pkt/s virtual, speedup 50 → 2500 timer events/s wall. 20
 	// virtual seconds ≈ 0.4 s wall, ideal volume 500 KB.
-	tb := NewTestbed(TestbedConfig{Seed: 1, Speedup: 50, Bandwidth: 200 * link.Kbps})
-	tb.AddBulkFlow()
+	tb := newTestbed(t, TestbedConfig{Net: topology.Config{Seed: 1, Bandwidth: 200 * link.Kbps}, Speedup: 50})
+	addBulkFlows(tb, 1)
 	tb.RunFor(20 * sim.Second)
 	tb.Stop()
 	var total float64
-	tb.Snapshot(func() { total = tb.Slicer.FlowTotal(0) })
+	tb.Snapshot(func() { total = tb.Net.Slicer.FlowTotal(0) })
 	// Wall-clock timer latency eats into throughput on loaded
 	// machines; require a meaningful fraction, not a precise figure.
 	if total < 100_000 {
@@ -125,25 +126,27 @@ func TestTestbedBulkFlowDelivers(t *testing.T) {
 }
 
 func TestTestbedTAQMiddleboxRuns(t *testing.T) {
-	tb := NewTestbed(TestbedConfig{Seed: 2, Speedup: 200, Bandwidth: 400 * link.Kbps, UseTAQ: true})
-	for i := 0; i < 8; i++ {
-		tb.AddBulkFlow()
-	}
+	tb := newTestbed(t, TestbedConfig{
+		Net:     topology.Config{Seed: 2, Bandwidth: 400 * link.Kbps, Queue: topology.TAQ},
+		Speedup: 200,
+	})
+	addBulkFlows(tb, 8)
 	tb.RunFor(60 * sim.Second)
 	tb.Stop()
 	var drops, arrivals uint64
-	tb.Snapshot(func() { drops, arrivals = tb.QueueDrops, tb.QueueArrivals })
+	var flows int
+	tb.Snapshot(func() { drops, arrivals, flows = tb.Net.QueueDrops, tb.Net.QueueArrivals, tb.Net.NumFlows() })
 	if arrivals == 0 {
 		t.Fatal("no packets reached the middlebox")
 	}
-	if tb.Middlebox == nil {
+	if tb.Net.Middlebox == nil {
 		t.Fatal("middlebox missing")
 	}
 	if drops == 0 {
 		t.Error("overloaded testbed should drop packets")
 	}
-	if tb.NumFlows() != 8 {
-		t.Errorf("flows = %d", tb.NumFlows())
+	if flows != 8 {
+		t.Errorf("flows = %d", flows)
 	}
 }
 

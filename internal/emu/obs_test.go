@@ -9,6 +9,7 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/sim"
+	"taq/internal/topology"
 )
 
 // TestTestbedObservability drives a TAQ testbed with tracing, gauges
@@ -18,11 +19,9 @@ import (
 func TestTestbedObservability(t *testing.T) {
 	rec := obs.NewRecorder(nil, 1024)
 	var series obs.MemorySeries
-	tb := NewTestbed(TestbedConfig{
-		Seed:          3,
+	tb := newTestbed(t, TestbedConfig{
+		Net:           topology.Config{Seed: 3, Bandwidth: 400 * link.Kbps, Queue: topology.TAQ},
 		Speedup:       200,
-		Bandwidth:     400 * link.Kbps,
-		UseTAQ:        true,
 		Events:        rec,
 		GaugeSink:     &series,
 		GaugeInterval: sim.Second,
@@ -31,8 +30,7 @@ func TestTestbedObservability(t *testing.T) {
 	if tb.HTTPErr != nil {
 		t.Logf("live endpoint unavailable: %v", tb.HTTPErr)
 	}
-	tb.AddBulkFlow()
-	tb.AddBulkFlow()
+	addBulkFlows(tb, 2)
 	tb.RunFor(10 * sim.Second)
 
 	if tb.HTTP != nil {
@@ -42,7 +40,7 @@ func TestTestbedObservability(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		for _, key := range []string{`"qlen"`, `"active_flows"`, `"loss_ewma"`} {
+		for _, key := range []string{`"qlen"`, `"utilization"`, `"qlen_recovery"`, `"active_flows"`, `"loss_ewma"`} {
 			if !strings.Contains(string(body), key) {
 				t.Errorf("/vars missing %s: %s", key, body)
 			}
@@ -81,8 +79,8 @@ func TestTestbedObservability(t *testing.T) {
 // TestTestbedStopWithoutObs checks Stop stays safe when no obs options
 // are configured (nil gauge set, recorder and server).
 func TestTestbedStopWithoutObs(t *testing.T) {
-	tb := NewTestbed(TestbedConfig{Seed: 1, Speedup: 500, Bandwidth: 200 * link.Kbps})
-	tb.AddBulkFlow()
+	tb := newTestbed(t, TestbedConfig{Net: topology.Config{Seed: 1, Bandwidth: 200 * link.Kbps}, Speedup: 500})
+	addBulkFlows(tb, 1)
 	tb.RunFor(sim.Second)
 	tb.Stop()
 }

@@ -104,17 +104,15 @@ func (b *ShardBank) MergedSnapshot() *obs.MetricsSnapshot {
 	return obs.MergedSnapshot(regs...)
 }
 
-// Stats sums the shards' middlebox counters and the aggregator's
-// admission counters, reading each shard under its own engine lock.
+// Stats sums the shards' middlebox counters (admissions included: each
+// shard counts the pools it admitted), reading each shard under its
+// own engine lock.
 func (b *ShardBank) Stats() core.Stats {
 	var sum core.Stats
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.Engine.Post(func() { sum.Add(&sh.TAQ.Stats) })
 	}
-	adm := b.disc.Aggregator().AdmissionStats()
-	sum.PoolsAdmitted += adm.PoolsAdmitted
-	sum.PoolsWaited += adm.PoolsWaited
 	return sum
 }
 

@@ -190,6 +190,12 @@ func TestShardBankSoak(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+	// Quiesce before reading: the shards' scan timers keep moving the
+	// tracker counters (timeouts, transitions) until the bank stops, so
+	// Stats, MergedSnapshot and the manual fold must all read a stopped
+	// bank, or they disagree by whatever a scan did between the reads.
+	// Stop also disarms every shard's wall timers, checked at the end.
+	bank.Stop()
 
 	var total uint64
 	for _, n := range enqueued {
@@ -245,9 +251,8 @@ func TestShardBankSoak(t *testing.T) {
 			shards, flows, wall, stats.Arrivals, stats.Served, stats.Drops, flight.Dumps)
 	}
 
-	// Teardown must disarm every shard's wall timers (the Engine.Stop
-	// leak regression, at bank scale).
-	bank.Stop()
+	// Teardown must have disarmed every shard's wall timers (the
+	// Engine.Stop leak regression, at bank scale).
 	for s := 0; s < shards; s++ {
 		if n := bank.Shard(s).Engine.outstandingTimers(); n != 0 {
 			t.Errorf("shard %d: %d wall timers still armed after Stop", s, n)

@@ -78,6 +78,10 @@ func (l *Link) Discipline() queue.Discipline { return l.disc }
 // events itself. A nil recorder (the default) disables tracing.
 func (l *Link) SetRecorder(rec *obs.Recorder) { l.rec = rec }
 
+// Busy reports whether a packet is serializing: dequeued from the
+// discipline but not yet counted in SentPackets.
+func (l *Link) Busy() bool { return l.busy }
+
 // Rate returns the link rate.
 func (l *Link) Rate() Bps { return l.rate }
 

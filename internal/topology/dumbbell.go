@@ -1,8 +1,10 @@
-// Package topology wires simulated TCP flows into the paper's dumbbell
-// topology: N senders share one bottleneck link (with a configurable
-// queue discipline — DropTail, RED, SFQ, or TAQ) toward N receivers;
-// all traffic is one-way data with uncongested, lossless ACK return
-// paths, exactly the §2.3 setup.
+// Package topology wires TCP flows into the paper's dumbbell topology:
+// N senders share one bottleneck link (with a configurable queue
+// discipline — DropTail, RED, SFQ, or TAQ) toward N receivers; all
+// traffic is one-way data with uncongested, lossless ACK return paths,
+// exactly the §2.3 setup. The same network runs on the discrete-event
+// engine (New) or on any other sim.Runner (NewOn), such as the
+// wall-clock engine of the prototype testbed (internal/emu).
 package topology
 
 import (
@@ -34,7 +36,8 @@ const (
 
 // Config describes a dumbbell scenario.
 type Config struct {
-	// Seed makes the run reproducible.
+	// Seed seeds New's discrete-event engine, making the run
+	// reproducible. NewOn's runner brings its own random source.
 	Seed int64
 	// Bandwidth is the bottleneck capacity.
 	Bandwidth link.Bps
@@ -53,13 +56,6 @@ type Config struct {
 	// TAQ optionally overrides the TAQ middlebox configuration; nil
 	// uses core.DefaultConfig(Bandwidth, BufferPackets).
 	TAQ *core.Config
-	// TAQShards, when ≥ 1, builds the middlebox as a flow-hash-
-	// partitioned core.Sharded with that many shards (Network.Sharded;
-	// one shared admission controller and loss window). 0 keeps the
-	// classic single-TAQ wiring (Network.Middlebox). Only meaningful
-	// with Queue == TAQ; one shard reproduces the single middlebox's
-	// behavior exactly (TestShardedOneShardMatchesGolden).
-	TAQShards int
 	// SFQBuckets sets the SFQ bucket count (default 64).
 	SFQBuckets int
 	// SliceWidth is the metrics slice width (default 20 s, §2.3).
@@ -81,6 +77,23 @@ type Config struct {
 	// which makes RTT estimation "relatively easy"); without it TAQ
 	// falls back to the one-way SYN/burst heuristics.
 	TwoWayObservation bool
+}
+
+// validate rejects scenario values no default can repair.
+func (c *Config) validate() error {
+	switch {
+	case c.Bandwidth < 0:
+		return fmt.Errorf("topology: negative bandwidth %g bps", float64(c.Bandwidth))
+	case c.PropRTT < 0:
+		return fmt.Errorf("topology: negative propagation RTT %v", c.PropRTT)
+	case c.BufferPackets < 0:
+		return fmt.Errorf("topology: negative buffer %d packets", c.BufferPackets)
+	case !(c.RTTJitter >= 0 && c.RTTJitter < 1):
+		return fmt.Errorf("topology: RTT jitter %v outside [0,1)", c.RTTJitter)
+	case !(c.ExternalLoss >= 0 && c.ExternalLoss <= 1):
+		return fmt.Errorf("topology: external loss %v outside [0,1]", c.ExternalLoss)
+	}
+	return nil
 }
 
 func (c *Config) fillDefaults() {
@@ -142,19 +155,18 @@ type Flow struct {
 	lastFwdArrival sim.Time
 }
 
-// Network is an instantiated dumbbell scenario.
+// Network is an instantiated dumbbell scenario. All of its state is
+// driven from one sim.Runner: on a wall-clock runner, touch it only
+// from scheduled callbacks or under the runner's serialization.
 type Network struct {
-	Cfg    Config
+	Cfg Config
+	// Engine is the discrete-event engine driving the network (always
+	// set by New); nil when NewOn was given another runner.
 	Engine *sim.Engine
+	run    sim.Runner
 	Link   *link.Link
-	// Middlebox is non-nil when the queue discipline is TAQ and
-	// Cfg.TAQShards is 0 (the classic single-middlebox wiring).
+	// Middlebox is non-nil when the queue discipline is TAQ.
 	Middlebox *core.TAQ
-	// Sharded is non-nil when the queue discipline is TAQ and
-	// Cfg.TAQShards ≥ 1: the flow-hash-partitioned middlebox. Its
-	// Stats() includes the shared admission counters, which the
-	// per-shard TAQ Stats do not carry.
-	Sharded *core.Sharded
 	// Slicer accumulates per-flow delivered bytes for fairness and
 	// evolution analyses.
 	Slicer *metrics.Slicer
@@ -199,16 +211,29 @@ type Network struct {
 	OnQueueDrop func(*packet.Packet)
 }
 
-// New builds a network from cfg.
+// New builds a network from cfg on a fresh discrete-event engine
+// seeded with cfg.Seed. It rejects negative sizes, an RTT jitter
+// outside [0,1) and an external loss outside [0,1].
 func New(cfg Config) (*Network, error) {
+	return NewOn(sim.NewEngine(cfg.Seed), cfg)
+}
+
+// NewOn builds a network from cfg driven by run, which may be a
+// wall-clock runner; call it under the runner's serialization.
+// cfg.Seed is unused: run brings its own random source.
+func NewOn(run sim.Runner, cfg Config) (*Network, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.fillDefaults()
 	n := &Network{
 		Cfg:    cfg,
-		Engine: sim.NewEngine(cfg.Seed),
+		run:    run,
 		Slicer: metrics.NewSlicer(cfg.SliceWidth),
 		Hangs:  metrics.NewHangTracker(),
 		flows:  make(map[packet.FlowID]*Flow),
 	}
+	n.Engine, _ = run.(*sim.Engine)
 
 	var disc queue.Discipline
 	switch cfg.Queue {
@@ -218,7 +243,7 @@ func New(cfg Config) (*Network, error) {
 		disc = queue.NewRED(queue.REDConfig{
 			Capacity:    cfg.BufferPackets,
 			MeanPktTime: cfg.Bandwidth.TxTime(cfg.TCP.MSS),
-		}, n.Engine.Now, n.Engine.Rand())
+		}, run.Now, run.Rand())
 	case SFQ:
 		disc = queue.NewSFQ(cfg.SFQBuckets, cfg.BufferPackets)
 	case TAQ:
@@ -230,24 +255,17 @@ func New(cfg Config) (*Network, error) {
 			}
 			tcfg.FillDerived(cfg.BufferPackets)
 		}
-		if cfg.TAQShards >= 1 {
-			sh := core.NewSharded(n.Engine, tcfg, cfg.TAQShards)
-			sh.Start()
-			n.Sharded = sh
-			disc = sh
-		} else {
-			mb := core.New(n.Engine, tcfg)
-			mb.Start()
-			n.Middlebox = mb
-			disc = mb
-		}
+		mb := core.New(run, tcfg)
+		mb.Start()
+		n.Middlebox = mb
+		disc = mb
 	default:
 		return nil, fmt.Errorf("topology: unknown queue kind %q", cfg.Queue)
 	}
 	disc.AddDropHook(func(p *packet.Packet) {
 		n.QueueDrops++
 		if n.Capture != nil {
-			n.Capture.Record(n.Engine.Now(), capture.Drop, p)
+			n.Capture.Record(n.run.Now(), capture.Drop, p)
 		}
 		if n.OnQueueDrop != nil {
 			n.OnQueueDrop(p)
@@ -256,7 +274,7 @@ func New(cfg Config) (*Network, error) {
 
 	// The bottleneck link's propagation delay is folded into per-flow
 	// paths, so the link itself adds none.
-	n.Link = link.New(n.Engine, cfg.Bandwidth, 0, disc, n.deliverForward)
+	n.Link = link.New(run, cfg.Bandwidth, 0, disc, n.deliverForward)
 	return n, nil
 }
 
@@ -273,7 +291,7 @@ func MustNew(cfg Config) *Network {
 // bottleneck output, rolling every epoch (use the flows' RTT).
 func (n *Network) EnableCensus(maxClass int, epoch sim.Time) {
 	n.Census = metrics.NewCensus(maxClass)
-	n.Census.ScheduleRolls(n.Engine, epoch)
+	n.Census.ScheduleRolls(n.run, epoch)
 }
 
 // EnableCapture starts recording per-packet bottleneck events (drops
@@ -294,16 +312,12 @@ func (n *Network) EnableObservability(rec *obs.Recorder) {
 		return
 	}
 	n.Link.SetRecorder(rec)
-	if n.Sharded != nil {
-		n.Sharded.SetRecorder(rec)
-		return
-	}
 	if n.Middlebox != nil {
 		n.Middlebox.SetRecorder(rec)
 		return
 	}
 	n.Link.Discipline().AddDropHook(func(p *packet.Packet) {
-		rec.Drop(n.Engine.Now(), p, -1, p.Retransmit)
+		rec.Drop(n.run.Now(), p, -1, p.Retransmit)
 	})
 }
 
@@ -321,13 +335,7 @@ func (n *Network) EnableMetrics() *obs.Registry {
 	reg := obs.NewRegistry()
 	n.Link.SetMetrics(link.NewMetrics(reg))
 	n.FCT = obs.FCTHistogram(reg)
-	switch {
-	case n.Sharded != nil:
-		// One shared registry: its cells are atomics, and the sim path
-		// drives every shard from one engine anyway.
-		n.CoreMetrics = core.NewMetrics(reg)
-		n.Sharded.SetMetrics(n.CoreMetrics)
-	case n.Middlebox != nil:
+	if n.Middlebox != nil {
 		n.CoreMetrics = core.NewMetrics(reg)
 		n.Middlebox.SetMetrics(n.CoreMetrics)
 	}
@@ -341,24 +349,25 @@ func (n *Network) ObserveFCT(started sim.Time, sizeBytes int) {
 	if n.FCT == nil {
 		return
 	}
-	n.FCT.ObserveAt(obs.FCTSizeClass(sizeBytes), n.Engine.Now()-started)
+	n.FCT.ObserveAt(obs.FCTSizeClass(sizeBytes), n.run.Now()-started)
 }
 
 // EnableGauges starts periodic sampling of the bottleneck time series
 // onto sink: queue depth and bytes, cumulative arrivals/drops, link
 // utilization, and — with a TAQ middlebox — per-class queue depths,
 // active/recovering flow counts, the loss-rate EWMA, and the admission
-// backlog. Returns the running gauge set (also kept in n.Gauges);
-// Stop it after the run to flush the sink.
+// backlog. Returns the gauge set (also kept in n.Gauges), running when
+// sink is non-nil — Stop it after the run to flush the sink. With a nil
+// sink the set only answers Snapshot (a live endpoint's reads).
 func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.GaugeSet {
-	g := obs.NewGaugeSet(n.Engine, interval, sink)
+	g := obs.NewGaugeSet(n.run, interval, sink)
 	disc := n.Link.Discipline()
 	g.RegisterInt("qlen", disc.Len)
 	g.RegisterInt("qbytes", disc.Bytes)
 	g.Register("arrivals", func() float64 { return float64(n.QueueArrivals) })
 	g.Register("drops", func() float64 { return float64(n.QueueDrops) })
 	g.Register("utilization", n.Utilization)
-	if mb := n.taqGauges(); mb != nil {
+	if mb := n.Middlebox; mb != nil {
 		g.RegisterInt("qlen_recovery", func() int { return mb.QueueLen(core.ClassRecovery) })
 		g.RegisterInt("qlen_newflow", func() int { return mb.QueueLen(core.ClassNewFlow) })
 		g.RegisterInt("qlen_overpenalized", func() int { return mb.QueueLen(core.ClassOverPenalized) })
@@ -369,59 +378,28 @@ func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.Gaug
 		g.Register("loss_ewma", mb.LossEWMA)
 		g.RegisterInt("waiting_pools", mb.WaitingPools)
 	}
-	g.Start()
+	if sink != nil {
+		g.Start()
+	}
 	n.Gauges = g
 	return g
 }
-
-// taqGauge is the middlebox surface the gauge set samples; *core.TAQ
-// and *core.Sharded both provide it (the sharded methods sum or read
-// the shared aggregator).
-type taqGauge interface {
-	QueueLen(core.Class) int
-	ActiveFlows() int
-	RecoveringFlows() int
-	LossEWMA() float64
-	WaitingPools() int
-}
-
-// taqGauges returns whichever middlebox form is wired, or nil.
-func (n *Network) taqGauges() taqGauge {
-	if n.Sharded != nil {
-		return n.Sharded
-	}
-	if n.Middlebox != nil {
-		return n.Middlebox
-	}
-	return nil
-}
-
-// observeReverse hands an ack-path packet to the middlebox (§3.3
-// two-way mode); the sharded form routes it to the owning shard.
-func (n *Network) observeReverse(p *packet.Packet) {
-	if n.Sharded != nil {
-		n.Sharded.ObserveReverse(p)
-		return
-	}
-	n.Middlebox.ObserveReverse(p)
-}
-
-// hasTAQ reports whether any middlebox form is wired.
-func (n *Network) hasTAQ() bool { return n.Middlebox != nil || n.Sharded != nil }
 
 // accessDelay returns the jittered access delay for the next packet of
 // f, never earlier than the flow's previous packet (FIFO per flow).
 func (n *Network) accessDelay(f *Flow, base sim.Time) sim.Time {
 	d := base
 	if n.Cfg.AccessJitter > 0 {
-		d += sim.Time(n.Engine.Rand().Int63n(int64(n.Cfg.AccessJitter)))
+		d += sim.Time(n.run.Rand().Int63n(int64(n.Cfg.AccessJitter)))
 	}
-	at := n.Engine.Now() + d
+	// One clock read: a wall-clock runner's Now moves between reads.
+	now := n.run.Now()
+	at := now + d
 	if at < f.lastFwdArrival {
 		at = f.lastFwdArrival
 	}
 	f.lastFwdArrival = at
-	return at - n.Engine.Now()
+	return at - now
 }
 
 // deliverForward dispatches packets leaving the bottleneck to the
@@ -431,7 +409,7 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	if !ok {
 		return
 	}
-	if n.Cfg.ExternalLoss > 0 && n.Engine.Rand().Float64() < n.Cfg.ExternalLoss {
+	if n.Cfg.ExternalLoss > 0 && n.run.Rand().Float64() < n.Cfg.ExternalLoss {
 		n.ExternalDrops++
 		return
 	}
@@ -439,13 +417,13 @@ func (n *Network) deliverForward(p *packet.Packet) {
 		n.Census.Observe(p.Flow)
 	}
 	if n.Capture != nil {
-		n.Capture.Record(n.Engine.Now(), capture.Deliver, p)
+		n.Capture.Record(n.run.Now(), capture.Deliver, p)
 	}
 	n.delaySample++
 	if n.delaySample%16 == 0 {
-		n.QueueDelays.Add((n.Engine.Now() - p.Enqueued).Seconds())
+		n.QueueDelays.Add((n.run.Now() - p.Enqueued).Seconds())
 	}
-	sim.After(n.Engine, f.RTT/4, func() { f.deliver(p) })
+	sim.After(n.run, f.RTT/4, func() { f.deliver(p) })
 }
 
 // AddFlow creates a TCP flow with the given app, starting its
@@ -457,26 +435,26 @@ func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Fl
 
 	rtt := n.Cfg.PropRTT
 	if j := n.Cfg.RTTJitter; j > 0 {
-		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
+		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.run.Rand().Float64()))
 	}
 	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt}
 
 	// Reverse path: receiver → sender, uncongested, half the RTT.
 	// In two-way mode the middlebox observes acks in passing at the
 	// midpoint.
-	f.Receiver = tcp.NewReceiver(n.Engine, n.Cfg.TCP, id, pool, func(p *packet.Packet) {
-		if n.Cfg.TwoWayObservation && n.hasTAQ() {
-			sim.After(n.Engine, rtt/4, func() {
-				n.observeReverse(p)
-				sim.After(n.Engine, rtt/4, func() { f.Sender.Deliver(p) })
+	f.Receiver = tcp.NewReceiver(n.run, n.Cfg.TCP, id, pool, func(p *packet.Packet) {
+		if n.Cfg.TwoWayObservation && n.Middlebox != nil {
+			sim.After(n.run, rtt/4, func() {
+				n.Middlebox.ObserveReverse(p)
+				sim.After(n.run, rtt/4, func() { f.Sender.Deliver(p) })
 			})
 			return
 		}
-		sim.After(n.Engine, rtt/2, func() { f.Sender.Deliver(p) })
+		sim.After(n.run, rtt/2, func() { f.Sender.Deliver(p) })
 	})
 	mss := n.Cfg.TCP.MSS
 	f.Receiver.OnDeliver = func(segs int) {
-		now := n.Engine.Now()
+		now := n.run.Now()
 		n.Slicer.Record(id, now, segs*mss)
 		if pool != packet.PoolNone {
 			n.Hangs.Touch(pool, now)
@@ -484,8 +462,8 @@ func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Fl
 	}
 
 	// Forward path: sender → (access delay rtt/4 + jitter) → queue.
-	f.Sender = tcp.NewSender(n.Engine, n.Cfg.TCP, id, pool, app, func(p *packet.Packet) {
-		sim.After(n.Engine, n.accessDelay(f, rtt/4), func() {
+	f.Sender = tcp.NewSender(n.run, n.Cfg.TCP, id, pool, app, func(p *packet.Packet) {
+		sim.After(n.run, n.accessDelay(f, rtt/4), func() {
 			n.QueueArrivals++
 			n.Link.Enqueue(p)
 		})
@@ -500,7 +478,7 @@ func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Fl
 	if pool != packet.PoolNone {
 		n.Hangs.Start(pool, startAt)
 	}
-	n.Engine.ScheduleAt(startAt, f.Sender.Start)
+	n.ScheduleAt(startAt, f.Sender.Start)
 	return f
 }
 
@@ -512,26 +490,26 @@ func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 	n.nextID++
 	rtt := n.Cfg.PropRTT
 	if j := n.Cfg.RTTJitter; j > 0 {
-		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
+		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.run.Rand().Float64()))
 	}
 	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt}
 
 	cfg := tfrc.DefaultConfig()
 	cfg.MSS = n.Cfg.TCP.MSS
 	cfg.InitialRTT = rtt
-	f.TFRCReceiver = tfrc.NewReceiver(n.Engine, cfg, id, pool, func(p *packet.Packet) {
-		sim.After(n.Engine, rtt/2, func() { f.TFRCSender.Deliver(p) })
+	f.TFRCReceiver = tfrc.NewReceiver(n.run, cfg, id, pool, func(p *packet.Packet) {
+		sim.After(n.run, rtt/2, func() { f.TFRCSender.Deliver(p) })
 	})
 	mss := cfg.MSS
 	f.TFRCReceiver.OnDeliver = func(pkts int) {
-		now := n.Engine.Now()
+		now := n.run.Now()
 		n.Slicer.Record(id, now, pkts*mss)
 		if pool != packet.PoolNone {
 			n.Hangs.Touch(pool, now)
 		}
 	}
-	f.TFRCSender = tfrc.NewSender(n.Engine, cfg, id, pool, func(p *packet.Packet) {
-		sim.After(n.Engine, n.accessDelay(f, rtt/4), func() {
+	f.TFRCSender = tfrc.NewSender(n.run, cfg, id, pool, func(p *packet.Packet) {
+		sim.After(n.run, n.accessDelay(f, rtt/4), func() {
 			n.QueueArrivals++
 			n.Link.Enqueue(p)
 		})
@@ -545,7 +523,7 @@ func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 	if pool != packet.PoolNone {
 		n.Hangs.Start(pool, startAt)
 	}
-	n.Engine.ScheduleAt(startAt, f.TFRCSender.Start)
+	n.ScheduleAt(startAt, f.TFRCSender.Start)
 	return f
 }
 
@@ -555,7 +533,18 @@ func (n *Network) Flow(id packet.FlowID) *Flow { return n.flows[id] }
 // NumFlows returns the number of flows added.
 func (n *Network) NumFlows() int { return len(n.flows) }
 
-// Run advances the simulation to the given virtual time.
+// Now returns the driving runner's current time.
+func (n *Network) Now() sim.Time { return n.run.Now() }
+
+// ScheduleAt runs fn at time at on the driving runner (times in the
+// past are clamped to now).
+func (n *Network) ScheduleAt(at sim.Time, fn func()) {
+	n.run.Schedule(at-n.run.Now(), fn)
+}
+
+// Run advances the simulation to the given virtual time. Only the
+// discrete-event form (Engine non-nil) runs this way; a wall-clock
+// runner advances on its own.
 func (n *Network) Run(until sim.Time) { n.Engine.RunUntil(until) }
 
 // LossRate returns the measured drop fraction at the bottleneck queue.
@@ -568,7 +557,7 @@ func (n *Network) LossRate() float64 {
 
 // Utilization returns bottleneck utilization over [0, now].
 func (n *Network) Utilization() float64 {
-	return n.Link.Utilization(n.Engine.Now())
+	return n.Link.Utilization(n.run.Now())
 }
 
 // Goodput returns the fraction of the bottleneck capacity delivered as
@@ -577,7 +566,7 @@ func (n *Network) Utilization() float64 {
 // fairness collapses. Unlike Utilization it excludes retransmitted
 // and duplicate bytes.
 func (n *Network) Goodput() float64 {
-	elapsed := n.Engine.Now().Seconds()
+	elapsed := n.run.Now().Seconds()
 	if elapsed <= 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 
 	"taq/internal/link"
@@ -96,6 +97,44 @@ func TestAllQueueKindsRun(t *testing.T) {
 func TestUnknownQueueKind(t *testing.T) {
 	if _, err := New(Config{Queue: "fifo9000"}); err == nil {
 		t.Error("unknown queue kind accepted")
+	}
+}
+
+// TestRejectsInvalidConfig: values no default can repair are errors,
+// not runs.
+func TestRejectsInvalidConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" for valid
+	}{
+		{"zero value", Config{}, ""},
+		{"edge values", Config{RTTJitter: 0.99, ExternalLoss: 1}, ""},
+		{"negative bandwidth", Config{Bandwidth: -1000}, "bandwidth"},
+		{"negative rtt", Config{PropRTT: -sim.Millisecond}, "RTT"},
+		{"negative buffer", Config{BufferPackets: -5}, "buffer"},
+		{"negative jitter", Config{RTTJitter: -0.1}, "jitter"},
+		{"jitter of one", Config{RTTJitter: 1}, "jitter"},
+		{"jitter above one", Config{RTTJitter: 2}, "jitter"},
+		{"negative external loss", Config{ExternalLoss: -0.01}, "external loss"},
+		{"external loss above one", Config{ExternalLoss: 1.5}, "external loss"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := New(tc.cfg)
+			if tc.want == "" {
+				if err != nil || n == nil {
+					t.Fatalf("New = %v, %v; want a network", n, err)
+				}
+				return
+			}
+			if err == nil || n != nil {
+				t.Fatalf("New = %v, %v; want an error", n, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -16,20 +16,10 @@ import (
 // and returns the raw JSONL event stream and CSV gauge series.
 func runTraced(t *testing.T, seed int64) (events, gauges []byte) {
 	t.Helper()
-	return runTracedShards(t, seed, 0)
-}
-
-// runTracedShards is runTraced with the middlebox built as a
-// core.Sharded of the given shard count (0 = the classic single TAQ);
-// the golden-equivalence test runs both forms against the same pinned
-// hashes.
-func runTracedShards(t *testing.T, seed int64, shards int) (events, gauges []byte) {
-	t.Helper()
 	n := MustNew(Config{
 		Seed:              seed,
 		Queue:             TAQ,
 		TwoWayObservation: true,
-		TAQShards:         shards,
 	})
 
 	var evBuf bytes.Buffer

@@ -47,7 +47,7 @@ func AddShortFlow(net *topology.Network, segments int, at sim.Time) *ShortFlowRe
 	f := net.AddFlow(packet.PoolNone, app, at)
 	res.Flow = f.ID
 	app.OnComplete = func() {
-		res.End = net.Engine.Now()
+		res.End = net.Now()
 		res.Done = true
 		net.Slicer.Finish(f.ID, res.End)
 		net.ObserveFCT(res.Start, segments*net.Cfg.TCP.MSS)
@@ -76,10 +76,11 @@ func (r *ObjectResult) DownloadTime() sim.Time { return r.End - r.Started }
 // request queue (the Fig 12 client behavior: "open up to four
 // connections at a time, and request objects as soon as possible").
 // Each object rides its own connection; connections retry SYNs until
-// admitted when the TCP config allows. Sessions run on any Host — the
-// simulator or the real-time testbed.
+// admitted when the TCP config allows. Sessions run on any network —
+// the simulator's or the real-time testbed's (emu.Testbed.Net, driven
+// under its engine's Post).
 type Session struct {
-	host     Host
+	net      *topology.Network
 	pool     packet.PoolID
 	client   int
 	maxConns int
@@ -91,20 +92,13 @@ type Session struct {
 	Results []*ObjectResult
 }
 
-// NewSession creates a session on a simulated network for the given
-// client id; its flows are grouped in a pool for hang tracking and
-// admission control.
+// NewSession creates a session on net for the given client id; its
+// flows are grouped in a pool for hang tracking and admission control.
 func NewSession(net *topology.Network, client int, maxConns int) *Session {
-	return NewSessionOn(NetworkHost(net), client, maxConns)
-}
-
-// NewSessionOn creates a session on any Host (see TestbedHost for the
-// real-time prototype).
-func NewSessionOn(host Host, client int, maxConns int) *Session {
 	if maxConns < 1 {
 		maxConns = 1
 	}
-	return &Session{host: host, pool: packet.PoolID(client), client: client, maxConns: maxConns}
+	return &Session{net: net, pool: packet.PoolID(client), client: client, maxConns: maxConns}
 }
 
 // Request enqueues an object of size bytes at time at (schedule it at
@@ -112,7 +106,7 @@ func NewSessionOn(host Host, client int, maxConns int) *Session {
 func (s *Session) Request(sizeBytes int, at sim.Time) *ObjectResult {
 	res := &ObjectResult{Client: s.client, SizeBytes: sizeBytes, Requested: at}
 	s.Results = append(s.Results, res)
-	s.host.ScheduleAt(at, func() {
+	s.net.ScheduleAt(at, func() {
 		s.pending = append(s.pending, res)
 		s.pump()
 	})
@@ -127,27 +121,32 @@ func (s *Session) pump() {
 	}
 }
 
+// start opens a connection for res, which completes or — when the SYN
+// retries run out — gives up on the object so the slot frees up.
 func (s *Session) start(res *ObjectResult) {
 	s.active++
-	res.Started = s.host.Now()
-	mss := s.host.MSS()
+	net := s.net
+	res.Started = net.Now()
+	mss := net.Cfg.TCP.MSS
 	segs := (res.SizeBytes + mss - 1) / mss
 	if segs < 1 {
 		segs = 1
 	}
-	s.host.StartTransfer(s.pool, segs,
-		func() {
-			res.End = s.host.Now()
-			res.Done = true
-			s.active--
-			s.pump()
-		},
-		func() {
-			// SYN retries exhausted: give up on this object so the
-			// connection slot frees up.
-			s.active--
-			s.pump()
-		})
+	app := &tcp.SizedApp{Total: segs}
+	f := net.AddFlow(s.pool, app, res.Started)
+	app.OnComplete = func() {
+		res.End = net.Now()
+		res.Done = true
+		net.Slicer.Finish(f.ID, res.End)
+		net.ObserveFCT(f.Started, segs*mss)
+		s.active--
+		s.pump()
+	}
+	f.Sender.OnFail = func() {
+		net.Slicer.Finish(f.ID, net.Now())
+		s.active--
+		s.pump()
+	}
 }
 
 // Outstanding reports queued-plus-active object count.
@@ -165,20 +164,14 @@ const (
 	ReplayASAP
 )
 
-// Replay drives trace records through per-client sessions on a
-// simulated network and returns them (keyed by client id).
+// Replay drives trace records through per-client sessions on net and
+// returns them (keyed by client id).
 func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode ReplayMode) map[int]*Session {
-	return ReplayOn(NetworkHost(net), recs, maxConns, mode)
-}
-
-// ReplayOn drives trace records through per-client sessions on any
-// Host.
-func ReplayOn(host Host, recs []trace.Record, maxConns int, mode ReplayMode) map[int]*Session {
 	sessions := make(map[int]*Session)
 	for _, r := range recs {
 		s, ok := sessions[r.Client]
 		if !ok {
-			s = NewSessionOn(host, r.Client, maxConns)
+			s = NewSession(net, r.Client, maxConns)
 			sessions[r.Client] = s
 		}
 		switch mode {

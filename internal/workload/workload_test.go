@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"taq/internal/emu"
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
@@ -159,52 +158,5 @@ func TestSessionGivesUpWhenSynFails(t *testing.T) {
 	// behind a dead slot.
 	if s.Outstanding() > 1 {
 		t.Errorf("outstanding = %d; session deadlocked", s.Outstanding())
-	}
-}
-
-func TestSessionOnTestbed(t *testing.T) {
-	// The same session machinery drives the real-time prototype: a
-	// client fetches three small objects over an emulated 400 Kbps
-	// link at 100x time compression.
-	tb := emu.NewTestbed(emu.TestbedConfig{Seed: 9, Speedup: 100, Bandwidth: 400 * link.Kbps})
-	host := TestbedHost(tb)
-	var s *Session
-	tb.Engine.Post(func() {
-		s = NewSessionOn(host, 1, 2)
-		for i := 0; i < 3; i++ {
-			s.Request(4000, 0)
-		}
-	})
-	tb.RunFor(30 * sim.Second)
-	tb.Stop()
-	done := 0
-	tb.Snapshot(func() {
-		for _, r := range s.Results {
-			if r.Done {
-				done++
-			}
-		}
-	})
-	if done != 3 {
-		t.Fatalf("completed %d of 3 objects on testbed", done)
-	}
-}
-
-func TestReplayOnTestbed(t *testing.T) {
-	tb := emu.NewTestbed(emu.TestbedConfig{Seed: 10, Speedup: 100, Bandwidth: 400 * link.Kbps})
-	recs := []trace.Record{
-		{Time: 0, Client: 1, Size: 3000},
-		{Time: 0, Client: 2, Size: 3000},
-	}
-	var sessions map[int]*Session
-	tb.Engine.Post(func() {
-		sessions = ReplayOn(TestbedHost(tb), recs, 4, ReplayASAP)
-	})
-	tb.RunFor(20 * sim.Second)
-	tb.Stop()
-	var frac float64
-	tb.Snapshot(func() { frac = CompletedFraction(sessions) })
-	if frac != 1 {
-		t.Fatalf("testbed replay completed %.2f", frac)
 	}
 }

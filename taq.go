@@ -293,5 +293,6 @@ type (
 	TestbedConfig = emu.TestbedConfig
 )
 
-// NewTestbed builds a real-time scenario.
-func NewTestbed(cfg TestbedConfig) *Testbed { return emu.NewTestbed(cfg) }
+// NewTestbed builds a real-time scenario around cfg.Net (an error for
+// an invalid NetworkConfig).
+func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return emu.NewTestbed(cfg) }

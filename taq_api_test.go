@@ -126,12 +126,18 @@ func TestFacadeSessionAPI(t *testing.T) {
 }
 
 func TestFacadeTestbed(t *testing.T) {
-	tb := taq.NewTestbed(taq.TestbedConfig{Seed: 4, Speedup: 100, Bandwidth: 200 * taq.Kbps, UseTAQ: true})
-	tb.AddBulkFlow()
+	tb, err := taq.NewTestbed(taq.TestbedConfig{
+		Net:     taq.NetworkConfig{Seed: 4, Bandwidth: 200 * taq.Kbps, Queue: taq.QueueTAQ},
+		Speedup: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Snapshot(func() { taq.AddBulkFlows(tb.Net, 1, 0) })
 	tb.RunFor(5 * taq.Second)
 	tb.Stop()
 	var total float64
-	tb.Snapshot(func() { total = tb.Slicer.FlowTotal(0) })
+	tb.Snapshot(func() { total = tb.Net.Slicer.FlowTotal(0) })
 	if total == 0 {
 		t.Error("testbed flow delivered nothing")
 	}
