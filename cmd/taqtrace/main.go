@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -22,18 +23,27 @@ import (
 )
 
 func main() {
-	var (
-		gen     = flag.Bool("gen", false, "generate a synthetic log to stdout")
-		stat    = flag.Bool("stat", false, "summarize a log from stdin")
-		clients = flag.Int("clients", 221, "gen: number of clients")
-		hours   = flag.Float64("hours", 2, "gen: log duration in hours")
-		rate    = flag.Float64("rate", 1.5, "gen: requests per client per minute")
-		seed    = flag.Int64("seed", 1, "gen: random seed")
-		from    = flag.Float64("from", -1, "window: start seconds (stdin→stdout)")
-		to      = flag.Float64("to", math.MaxFloat64, "window: end seconds")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("taqtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		gen     = fs.Bool("gen", false, "generate a synthetic log to stdout")
+		stat    = fs.Bool("stat", false, "summarize a log from stdin")
+		clients = fs.Int("clients", 221, "gen: number of clients")
+		hours   = fs.Float64("hours", 2, "gen: log duration in hours")
+		rate    = fs.Float64("rate", 1.5, "gen: requests per client per minute")
+		seed    = fs.Int64("seed", 1, "gen: random seed")
+		from    = fs.Float64("from", -1, "window: start seconds (stdin→stdout)")
+		to      = fs.Float64("to", math.MaxFloat64, "window: end seconds")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var err error
 	switch {
 	case *gen:
 		cfg := trace.DefaultGenConfig()
@@ -41,33 +51,42 @@ func main() {
 		cfg.Clients = *clients
 		cfg.Duration = sim.FromSeconds(*hours * 3600)
 		cfg.RequestsPerClientPerMin = *rate
-		if err := trace.Write(os.Stdout, trace.Generate(cfg)); err != nil {
-			fail(err)
-		}
+		err = trace.Write(stdout, trace.Generate(cfg))
 	case *stat:
-		recs, err := trace.Parse(os.Stdin)
-		if err != nil {
-			fail(err)
+		var recs []trace.Record
+		if recs, err = trace.Parse(stdin); err == nil {
+			summarize(stdout, recs)
 		}
-		summarize(recs)
 	case *from >= 0:
-		recs, err := trace.Parse(os.Stdin)
-		if err != nil {
-			fail(err)
-		}
-		out := trace.Window(recs, sim.FromSeconds(*from), sim.FromSeconds(*to))
-		if err := trace.Write(os.Stdout, out); err != nil {
-			fail(err)
+		var recs []trace.Record
+		if recs, err = trace.Parse(stdin); err == nil {
+			err = trace.Write(stdout, trace.Window(recs, windowBound(*from), windowBound(*to)))
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "taqtrace:", err)
+		return 1
+	}
+	return 0
 }
 
-func summarize(recs []trace.Record) {
+// windowBound converts a -from/-to value in seconds to sim.Time,
+// saturating at the largest sim.Time instead of overflowing: the
+// default -to, math.MaxFloat64, would otherwise wrap to a negative
+// time and empty the window.
+func windowBound(secs float64) sim.Time {
+	if ns := secs * float64(sim.Second); !(ns < math.MaxInt64) {
+		return sim.Time(math.MaxInt64)
+	}
+	return sim.FromSeconds(secs)
+}
+
+func summarize(w io.Writer, recs []trace.Record) {
 	if len(recs) == 0 {
-		fmt.Println("empty log")
+		fmt.Fprintln(w, "empty log")
 		return
 	}
 	total := trace.TotalBytes(recs)
@@ -84,14 +103,9 @@ func summarize(recs []trace.Record) {
 			last = r.Time
 		}
 	}
-	fmt.Printf("records : %d\n", len(recs))
-	fmt.Printf("clients : %d\n", trace.Clients(recs))
-	fmt.Printf("span    : %.0f seconds\n", last.Seconds())
-	fmt.Printf("volume  : %.2f GB\n", float64(total)/(1<<30))
-	fmt.Printf("sizes   : %d B .. %d B (mean %.0f B)\n", minS, maxS, float64(total)/float64(len(recs)))
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "taqtrace:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "records : %d\n", len(recs))
+	fmt.Fprintf(w, "clients : %d\n", trace.Clients(recs))
+	fmt.Fprintf(w, "span    : %.0f seconds\n", last.Seconds())
+	fmt.Fprintf(w, "volume  : %.2f GB\n", float64(total)/(1<<30))
+	fmt.Fprintf(w, "sizes   : %d B .. %d B (mean %.0f B)\n", minS, maxS, float64(total)/float64(len(recs)))
 }

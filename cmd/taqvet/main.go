@@ -8,7 +8,7 @@
 //	go run ./cmd/taqvet -annotations ./...
 //
 // The default format prints "file:line:col: message [analyzer]" per
-// finding; -format json/sarif/github emit machine-readable output.
+// finding; -format sarif/github emit machine-readable output.
 // -audit additionally reports stale //taq:allow directives and
 // malformed //taq: directives (unknown directive word, missing or
 // unknown analyzer names, //taq:hotpath on anything but a function
@@ -44,13 +44,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
-	format := fs.String("format", "text", "output format: text, json, sarif, or github")
+	format := fs.String("format", "text", "output format: text, sarif, or github")
 	out := fs.String("out", "", "write output to this file instead of stdout")
 	audit := fs.Bool("audit", false, "also report stale //taq:allow and malformed //taq: directives (requires the full suite)")
 	roots := fs.Bool("roots", false, "print the //taq:hotpath roots and closure size per package, then exit")
 	annotations := fs.Bool("annotations", false, "print the shardowned/crossshard/atomic/layout annotation inventory, then exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: taqvet [-list] [-roots] [-annotations] [-only a,b] [-format text|json|sarif|github] [-out file] [-audit] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: taqvet [-list] [-roots] [-annotations] [-only a,b] [-format text|sarif|github] [-out file] [-audit] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs TAQ's determinism & concurrency analyzers (default ./...).\n")
 		fs.PrintDefaults()
 	}
@@ -66,9 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif", "github":
+	case "text", "sarif", "github":
 	default:
-		fmt.Fprintf(stderr, "taqvet: unknown format %q (want text, json, sarif, or github)\n", *format)
+		fmt.Fprintf(stderr, "taqvet: unknown format %q (want text, sarif, or github)\n", *format)
 		return 2
 	}
 	if *only != "" {
@@ -150,8 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var werr error
 	switch *format {
-	case "json":
-		werr = analysis.WriteJSON(dst, diags)
 	case "sarif":
 		werr = analysis.WriteSARIF(dst, diags)
 	case "github":

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -21,6 +23,7 @@ func TestExitCodes(t *testing.T) {
 		{"findings", []string{"../../internal/analysis/testdata/src/simtime"}, 1, "finding(s)"},
 		{"broken package exits 2 and names it", []string{"../../internal/analysis/testdata/src/broken"}, 2, "testdata/src/broken"},
 		{"unknown format", []string{"-format", "xml", "./..."}, 2, "unknown format"},
+		{"json is not a format", []string{"-format", "json", "./..."}, 2, "unknown format"},
 		{"unknown analyzer", []string{"-only", "nosuch", "./..."}, 2, "unknown analyzer"},
 		{"audit with only", []string{"-audit", "-only", "wallclock", "./..."}, 2, "-audit needs the full suite"},
 		{"malformed directives fail -audit", []string{"-audit", "../../internal/analysis/testdata/src/malformed"}, 1, "finding(s)"},
@@ -37,6 +40,32 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr %q does not contain %q", stderr.String(), tc.stderr)
 			}
 		})
+	}
+}
+
+// TestListMatchesDocs keeps docs/static-analysis.md in step with the
+// suite: its analyzer headings (### `name`), in order, are exactly the
+// names -list prints, so renaming, adding, or retiring an analyzer
+// without its section fails the build.
+func TestListMatchesDocs(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list exit = %d, want 0; stderr: %s", code, stderr.String())
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	doc, err := os.ReadFile("../../docs/static-analysis.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headed []string
+	for _, m := range regexp.MustCompile("(?m)^### `([^`]+)`$").FindAllStringSubmatch(string(doc), -1) {
+		headed = append(headed, m[1])
+	}
+	if got, want := strings.Join(headed, " "), strings.Join(listed, " "); got != want {
+		t.Errorf("docs/static-analysis.md analyzer headings:\n  %s\nwant the -list names:\n  %s", got, want)
 	}
 }
 

@@ -174,7 +174,7 @@ func containsBase(list []string, pkgPath string) bool {
 
 // All returns the full analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, MapRange, TimerLeak, LockDiscipline, TimerOwn, SimTime, Detaint, NoAlloc, NoBlock, LockOrder, ShardOwn, AtomicField, Layout}
+	return []*Analyzer{Wallclock, MapRange, LockDiscipline, TimerOwn, SimTime, NoAlloc, NoBlock, LockOrder, ShardOwn, AtomicField, Layout}
 }
 
 // Run applies the configured analyzers to every package and returns the
@@ -290,65 +290,44 @@ func collectAllows(pkg *Package) *allowSet {
 		byFile: make(map[string]map[int][]*allowEntry),
 		ranged: make(map[string][]*allowEntry),
 	}
-	// Line ranges for //taq:allow(func): a directive in a function's
-	// doc comment suppresses findings anywhere in the declaration.
-	funcRange := make(map[*ast.Comment][2]int)
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || fd.Body == nil {
+	for _, d := range pkg.directives() {
+		if d.word != "allow" && d.word != "allow(func)" {
+			continue
+		}
+		fields := strings.Fields(d.rest)
+		if len(fields) == 0 {
+			continue // malformed; collectMalformed reports it
+		}
+		pos := pkg.Fset.Position(d.c.Pos())
+		proto := allowEntry{pos: pos, scoped: d.word == "allow(func)"}
+		if proto.scoped {
+			// A //taq:allow(func) in a function's doc comment suppresses
+			// findings anywhere in the declaration.
+			fd, ok := d.host.(*ast.FuncDecl)
+			if !ok {
+				continue // misplaced; collectMalformed reports it
+			}
+			proto.fromLine, proto.toLine = pkg.Fset.Position(fd.Pos()).Line, pkg.Fset.Position(fd.End()).Line
+		}
+		// First token is the analyzer list; anything after it is
+		// free-form rationale.
+		for _, name := range strings.Split(fields[0], ",") {
+			if name == "" {
+				continue // malformed; collectMalformed reports it
+			}
+			e := proto
+			e.name = name
+			s.entries = append(s.entries, &e)
+			if e.scoped {
+				s.ranged[pos.Filename] = append(s.ranged[pos.Filename], &e)
 				continue
 			}
-			r := [2]int{pkg.Fset.Position(fd.Pos()).Line, pkg.Fset.Position(fd.End()).Line}
-			for _, c := range fd.Doc.List {
-				funcRange[c] = r
+			lines := s.byFile[pos.Filename]
+			if lines == nil {
+				lines = make(map[int][]*allowEntry)
+				s.byFile[pos.Filename] = lines
 			}
-		}
-	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				word, rest, ok := taqDirective(c.Text)
-				if !ok || (word != "allow" && word != "allow(func)") {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue // malformed; collectMalformed reports it
-				}
-				// First token is the analyzer list; anything after it
-				// is free-form rationale.
-				names := strings.Split(fields[0], ",")
-				pos := pkg.Fset.Position(c.Pos())
-				if word == "allow(func)" {
-					r, ok := funcRange[c]
-					if !ok {
-						continue // misplaced; collectMalformed reports it
-					}
-					for _, name := range names {
-						if name == "" {
-							continue // malformed; collectMalformed reports it
-						}
-						e := &allowEntry{pos: pos, name: name, scoped: true, fromLine: r[0], toLine: r[1]}
-						s.ranged[pos.Filename] = append(s.ranged[pos.Filename], e)
-						s.entries = append(s.entries, e)
-					}
-					continue
-				}
-				lines := s.byFile[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]*allowEntry)
-					s.byFile[pos.Filename] = lines
-				}
-				for _, name := range names {
-					if name == "" {
-						continue // malformed; collectMalformed reports it
-					}
-					e := &allowEntry{pos: pos, name: name}
-					lines[pos.Line] = append(lines[pos.Line], e)
-					s.entries = append(s.entries, e)
-				}
-			}
+			lines[pos.Line] = append(lines[pos.Line], &e)
 		}
 	}
 	return s
@@ -364,73 +343,6 @@ func collectAllows(pkg *Package) *allowSet {
 // so -audit exits non-zero on them. The checks use only the ASTs —
 // never type info — so FuzzParseDirectives can drive them directly.
 func collectMalformed(pkg *Package) []Diagnostic {
-	// Comments that legitimately host function-level directives
-	// (//taq:hotpath, //taq:crossshard, //taq:allow(func)): doc
-	// comments of function declarations with bodies.
-	funcDoc := make(map[*ast.Comment]bool)
-	// Doc comments of type declarations, for shardowned/layout.
-	typeSpecOf := make(map[*ast.Comment]*ast.TypeSpec)
-	// Comments attached to named fields of top-level struct types, and
-	// to package-level var specs, for //taq:atomic.
-	fieldOf := make(map[*ast.Comment]*ast.Field)
-	varDoc := make(map[*ast.Comment]bool)
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Doc == nil || d.Body == nil {
-					continue
-				}
-				for _, c := range d.Doc.List {
-					funcDoc[c] = true
-				}
-			case *ast.GenDecl:
-				mark := func(doc *ast.CommentGroup, f func(*ast.Comment)) {
-					if doc == nil {
-						return
-					}
-					for _, c := range doc.List {
-						f(c)
-					}
-				}
-				if d.Tok == token.TYPE {
-					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						markTS := func(c *ast.Comment) { typeSpecOf[c] = ts }
-						if len(d.Specs) == 1 {
-							mark(d.Doc, markTS)
-						}
-						mark(ts.Doc, markTS)
-						mark(ts.Comment, markTS)
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							for _, fld := range st.Fields.List {
-								markFld := func(c *ast.Comment) { fieldOf[c] = fld }
-								mark(fld.Doc, markFld)
-								mark(fld.Comment, markFld)
-							}
-						}
-					}
-				}
-				if d.Tok == token.VAR {
-					for _, s := range d.Specs {
-						vs, ok := s.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						markVar := func(c *ast.Comment) { varDoc[c] = true }
-						if len(d.Specs) == 1 {
-							mark(d.Doc, markVar)
-						}
-						mark(vs.Doc, markVar)
-						mark(vs.Comment, markVar)
-					}
-				}
-			}
-		}
-	}
 	var out []Diagnostic
 	report := func(c *ast.Comment, format string, args ...any) {
 		out = append(out, Diagnostic{
@@ -454,59 +366,51 @@ func collectMalformed(pkg *Package) []Diagnostic {
 			}
 		}
 	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				word, rest, ok := taqDirective(c.Text)
-				if !ok {
-					continue
-				}
-				switch word {
-				case "allow":
-					checkList(c, word, rest)
-				case "allow(func)":
-					if !funcDoc[c] {
-						report(c, "misplaced //taq:allow(func): the directive must sit in the doc comment of a function declaration")
-						continue
-					}
-					checkList(c, word, rest)
-				case "hotpath":
-					if !funcDoc[c] {
-						report(c, "misplaced //taq:hotpath: the directive must sit in the doc comment of a function declaration")
-					}
-				case "crossshard":
-					if !funcDoc[c] {
-						report(c, "misplaced //taq:crossshard: the directive must sit in the doc comment of a function declaration")
-					}
-				case "shardowned":
-					if typeSpecOf[c] == nil {
-						report(c, "misplaced //taq:shardowned: the directive must sit in the doc comment of a type declaration")
-					}
-				case "atomic":
-					if fld := fieldOf[c]; fld != nil {
-						if len(fld.Names) == 0 {
-							report(c, "//taq:atomic on an embedded field is not supported — name the field")
-						}
-					} else if !varDoc[c] {
-						report(c, "misplaced //taq:atomic: the directive must annotate a struct field or a package-level var")
-					}
-				case "layout":
-					ts := typeSpecOf[c]
-					if ts == nil {
-						report(c, "misplaced //taq:layout: the directive must sit in the doc comment of a struct type declaration")
-						continue
-					}
-					if _, ok := ts.Type.(*ast.StructType); !ok {
-						report(c, "//taq:layout on non-struct type %s — only structs have a layout to pin", ts.Name.Name)
-						continue
-					}
-					if _, err := parseLayoutSpec(rest); err != nil {
-						report(c, "malformed //taq:layout: %v", err)
-					}
-				default:
-					report(c, "unknown directive //taq:%s (want allow, allow(func), hotpath, shardowned, crossshard, atomic, or layout)", word)
-				}
+	for _, d := range pkg.directives() {
+		c := d.c
+		_, onFunc := d.host.(*ast.FuncDecl)
+		ts, _ := d.host.(*ast.TypeSpec)
+		switch d.word {
+		case "allow":
+			checkList(c, d.word, d.rest)
+		case "allow(func)":
+			if !onFunc {
+				report(c, "misplaced //taq:allow(func): the directive must sit in the doc comment of a function declaration")
+				continue
 			}
+			checkList(c, d.word, d.rest)
+		case "hotpath", "crossshard":
+			if !onFunc {
+				report(c, "misplaced //taq:%s: the directive must sit in the doc comment of a function declaration", d.word)
+			}
+		case "shardowned":
+			if ts == nil {
+				report(c, "misplaced //taq:shardowned: the directive must sit in the doc comment of a type declaration")
+			}
+		case "atomic":
+			switch h := d.host.(type) {
+			case *ast.Field:
+				if len(h.Names) == 0 {
+					report(c, "//taq:atomic on an embedded field is not supported — name the field")
+				}
+			case *ast.ValueSpec:
+			default:
+				report(c, "misplaced //taq:atomic: the directive must annotate a struct field or a package-level var")
+			}
+		case "layout":
+			if ts == nil {
+				report(c, "misplaced //taq:layout: the directive must sit in the doc comment of a struct type declaration")
+				continue
+			}
+			if _, ok := ts.Type.(*ast.StructType); !ok {
+				report(c, "//taq:layout on non-struct type %s — only structs have a layout to pin", ts.Name.Name)
+				continue
+			}
+			if _, err := parseLayoutSpec(d.rest); err != nil {
+				report(c, "malformed //taq:layout: %v", err)
+			}
+		default:
+			report(c, "unknown directive //taq:%s (want allow, allow(func), hotpath, shardowned, crossshard, atomic, or layout)", d.word)
 		}
 	}
 	return out

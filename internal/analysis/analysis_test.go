@@ -105,11 +105,44 @@ func runCaseDirs(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 
 func TestWallclock(t *testing.T)      { runCase(t, "wallclock", Wallclock) }
 func TestMapRange(t *testing.T)       { runCase(t, "maprange", MapRange) }
-func TestTimerLeak(t *testing.T)      { runCase(t, "timerleak", TimerLeak) }
+func TestTimerLeak(t *testing.T)      { runCase(t, "timerleak", TimerOwn) }
 func TestLockDiscipline(t *testing.T) { runCase(t, "lockdiscipline", LockDiscipline) }
 func TestTimerOwn(t *testing.T)       { runCase(t, "timerown", TimerOwn) }
 func TestSimTime(t *testing.T)        { runCase(t, "simtime", SimTime) }
-func TestDetaint(t *testing.T)        { runCase(t, "detaint", Detaint) }
+func TestDetaint(t *testing.T)        { runCase(t, "detaint", MapRange) }
+
+// TestOneFindingPerDefect runs the full suite over a fixture whose two
+// defects are each seen by two checks — a wall-clock read in a hot-path
+// root of a deterministic package (wallclock and noblock), and a
+// discarded Reschedule result in a type with Stop (handle ownership and
+// timer teardown) — and requires exactly one diagnostic per defect.
+func TestOneFindingPerDefect(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Deterministic = append(cfg.Deterministic, "onefinding")
+	cfg.NoblockPackages = append(cfg.NoblockPackages, "onefinding")
+	pkgs, err := Load(".", "./testdata/src/onefinding")
+	if err != nil {
+		t.Fatalf("loading testdata/onefinding: %v", err)
+	}
+	expected := wants(t, pkgs)
+	if len(expected) != 2 {
+		t.Fatalf("fixture plants %d defects, want 2", len(expected))
+	}
+	got := make(map[string][]Diagnostic)
+	for _, d := range Run(pkgs, cfg) {
+		got[posKey(d.Pos)] = append(got[posKey(d.Pos)], d)
+	}
+	for key, res := range expected {
+		if ds := got[key]; len(ds) != 1 || !res[0].MatchString(ds[0].Message) {
+			t.Errorf("%s: got %v, want one diagnostic matching %q", key, ds, res[0])
+		}
+	}
+	for key, ds := range got {
+		if expected[key] == nil {
+			t.Errorf("%s: unexpected %v", key, ds)
+		}
+	}
+}
 
 // The v3 contract analyzers: hotpath exercises closure propagation
 // (interface dispatch, function values, method values, line-scoped

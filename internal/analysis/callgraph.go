@@ -30,7 +30,6 @@ import (
 	"go/types"
 	"io"
 	"sort"
-	"strings"
 )
 
 // FuncNode is one function in the whole-program call graph: a declared
@@ -161,6 +160,12 @@ func (p *Program) ensure() {
 
 	// Pass 1: index declared functions and their nested literals.
 	for _, pkg := range p.Pkgs {
+		roots := make(map[*ast.FuncDecl]bool)
+		for _, d := range pkg.directives() {
+			if fd, ok := d.host.(*ast.FuncDecl); ok && d.word == "hotpath" {
+				roots[fd] = true
+			}
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -177,7 +182,7 @@ func (p *Program) ensure() {
 					Body: fd.Body,
 					name: fn.FullName(),
 					pos:  fd.Pos(),
-					root: hasHotpathDirective(fd.Doc),
+					root: roots[fd],
 				}
 				p.byFn[fn] = n
 				p.nodes = append(p.nodes, n)
@@ -455,36 +460,6 @@ func nodeSig(n *FuncNode) *types.Signature {
 func sigKey(sig *types.Signature) string {
 	flat := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
 	return types.TypeString(flat, func(p *types.Package) string { return p.Path() })
-}
-
-const hotpathPrefix = "taq:hotpath"
-
-// hasHotpathDirective reports whether doc contains a //taq:hotpath
-// line (optionally followed by a free-form rationale).
-func hasHotpathDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if word, _, ok := taqDirective(c.Text); ok && word == "hotpath" {
-			return true
-		}
-	}
-	return false
-}
-
-// taqDirective parses a "//taq:word rest..." comment. ok is false for
-// comments that are not taq directives at all.
-func taqDirective(text string) (word, rest string, ok bool) {
-	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	if !strings.HasPrefix(text, "taq:") {
-		return "", "", false
-	}
-	body := strings.TrimPrefix(text, "taq:")
-	if i := strings.IndexAny(body, " \t"); i >= 0 {
-		return body[:i], strings.TrimSpace(body[i:]), true
-	}
-	return body, "", true
 }
 
 // WriteRoots prints the hotpath closure: the declared roots, then the

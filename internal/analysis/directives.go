@@ -1,9 +1,13 @@
 package analysis
 
-// directives.go collects the v4 contract annotations — shard ownership,
-// atomic discipline, and memory layout — into one program-wide index
-// shared by the shardown, atomicfield, and layout analyzers, and prints
-// the annotation inventory CI diffs against docs/taq-annotations.txt.
+// directives.go parses every //taq: comment once into a per-package
+// index (Package.directives) that records the declaration each one
+// annotates. The suppression and audit collectors, the call graph's
+// root detection, and the contract index all read it. The contract
+// index gathers the v4 annotations — shard ownership, atomic
+// discipline, and memory layout — program-wide for the shardown,
+// atomicfield, and layout analyzers, and prints the annotation
+// inventory CI diffs against docs/taq-annotations.txt.
 //
 // The directive grammar (placement validated by collectMalformed,
 // parser fuzzed by FuzzParseDirectives):
@@ -160,20 +164,104 @@ func (p *Program) contractsIndex() *contracts {
 	return p.contr
 }
 
-// directiveIn scans doc comment groups for one directive word and
-// returns its rest text.
-func directiveIn(word string, docs ...*ast.CommentGroup) (string, bool) {
-	for _, doc := range docs {
-		if doc == nil {
-			continue
+// directive is one //taq: comment, parsed once, and the declaration
+// hosting it. host is an *ast.FuncDecl with a body (the comment is in
+// its doc), an *ast.TypeSpec (its doc or trailing comment, or the doc
+// of a one-spec type declaration), an *ast.Field of a top-level struct
+// type (owner is that type), an *ast.ValueSpec of a package-level var
+// (its doc or trailing comment, or the doc of a one-spec var
+// declaration), or nil.
+type directive struct {
+	c          *ast.Comment
+	word, rest string
+	host       ast.Node
+	owner      *ast.TypeSpec
+}
+
+// directives returns the package's //taq: comments in file order. The
+// index is built once per package from the ASTs alone, so the audit
+// collectors need no type information and FuzzParseDirectives can
+// drive them on a bare parse.
+func (pkg *Package) directives() []directive {
+	if pkg.dirs == nil {
+		pkg.dirs = indexDirectives(pkg)
+	}
+	return pkg.dirs
+}
+
+func indexDirectives(pkg *Package) []directive {
+	out := []directive{}
+	for _, f := range pkg.Files {
+		hosts := make(map[*ast.Comment]directive)
+		mark := func(doc *ast.CommentGroup, host ast.Node, owner *ast.TypeSpec) {
+			if doc == nil {
+				return
+			}
+			for _, c := range doc.List {
+				hosts[c] = directive{host: host, owner: owner}
+			}
 		}
-		for _, c := range doc.List {
-			if w, rest, ok := taqDirective(c.Text); ok && w == word {
-				return rest, true
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					mark(d.Doc, d, nil)
+				}
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE && d.Tok != token.VAR {
+					continue
+				}
+				for _, s := range d.Specs {
+					var declDoc *ast.CommentGroup
+					if len(d.Specs) == 1 {
+						declDoc = d.Doc
+					}
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						mark(declDoc, s, nil)
+						mark(s.Doc, s, nil)
+						mark(s.Comment, s, nil)
+						if st, ok := s.Type.(*ast.StructType); ok {
+							for _, fld := range st.Fields.List {
+								mark(fld.Doc, fld, s)
+								mark(fld.Comment, fld, s)
+							}
+						}
+					case *ast.ValueSpec:
+						mark(declDoc, s, nil)
+						mark(s.Doc, s, nil)
+						mark(s.Comment, s, nil)
+					}
+				}
+			}
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				word, rest, ok := taqDirective(c.Text)
+				if !ok {
+					continue
+				}
+				d := hosts[c]
+				d.c, d.word, d.rest = c, word, rest
+				out = append(out, d)
 			}
 		}
 	}
-	return "", false
+	return out
+}
+
+// taqDirective parses a "//taq:word rest..." comment. ok is false for
+// comments that are not taq directives at all.
+func taqDirective(text string) (word, rest string, ok bool) {
+	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
+	if !strings.HasPrefix(text, "taq:") {
+		return "", "", false
+	}
+	body := strings.TrimPrefix(text, "taq:")
+	if i := strings.IndexAny(body, " \t"); i >= 0 {
+		return body[:i], strings.TrimSpace(body[i:]), true
+	}
+	return body, "", true
 }
 
 func collectContracts(pkgs []*Package) *contracts {
@@ -183,22 +271,71 @@ func collectContracts(pkgs []*Package) *contracts {
 		atomicObjs:   make(map[string]string),
 		atomicOwners: make(map[string]string),
 	}
+	laidOut := make(map[string]bool)
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if _, ok := directiveIn("crossshard", d.Doc); !ok {
+		typeOf := func(ts *ast.TypeSpec) *types.TypeName {
+			tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
+			return tn
+		}
+		for _, d := range pkg.directives() {
+			switch h := d.host.(type) {
+			case *ast.FuncDecl:
+				fn, ok := pkg.Info.Defs[h.Name].(*types.Func)
+				if d.word != "crossshard" || !ok || c.crossShard[fn.FullName()] {
+					continue
+				}
+				c.crossShard[fn.FullName()] = true
+				c.crossNames = append(c.crossNames, fn.FullName())
+			case *ast.TypeSpec:
+				tn := typeOf(h)
+				if tn == nil {
+					continue
+				}
+				switch d.word {
+				case "shardowned":
+					if !c.shardOwned[typeKey(tn)] {
+						c.shardOwned[typeKey(tn)] = true
+						c.shardNames = append(c.shardNames, pkg.Path+"."+h.Name.Name)
+					}
+				case "layout":
+					// Misplaced and unparsable specs surface via collectMalformed.
+					if _, isStruct := h.Type.(*ast.StructType); !isStruct || laidOut[typeKey(tn)] {
 						continue
 					}
-					fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
-					if !ok {
+					if spec, err := parseLayoutSpec(d.rest); err == nil {
+						laidOut[typeKey(tn)] = true
+						c.layouts = append(c.layouts, layoutPin{tn: tn, spec: spec, pos: h.Pos(), pkg: pkg})
+					}
+				}
+			case *ast.Field:
+				tn := typeOf(d.owner)
+				if d.word != "atomic" || tn == nil {
+					continue
+				}
+				for _, name := range h.Names {
+					key := typeKey(tn) + "." + name.Name
+					if _, dup := c.atomicObjs[key]; dup || pkg.Info.Defs[name] == nil {
 						continue
 					}
-					c.crossShard[fn.FullName()] = true
-					c.crossNames = append(c.crossNames, fn.FullName())
-				case *ast.GenDecl:
-					collectGenDecl(c, pkg, d)
+					c.atomicObjs[key] = d.owner.Name.Name + "." + name.Name
+					c.atomicNames = append(c.atomicNames, pkg.Path+"."+d.owner.Name.Name+"."+name.Name)
+					if prev := c.atomicOwners[typeKey(tn)]; prev != "" {
+						c.atomicOwners[typeKey(tn)] = prev + ", " + name.Name
+					} else {
+						c.atomicOwners[typeKey(tn)] = name.Name
+					}
+				}
+			case *ast.ValueSpec:
+				if d.word != "atomic" {
+					continue
+				}
+				for _, name := range h.Names {
+					key := pkg.Path + "." + name.Name
+					if _, dup := c.atomicObjs[key]; dup || pkg.Info.Defs[name] == nil {
+						continue
+					}
+					c.atomicObjs[key] = name.Name
+					c.atomicNames = append(c.atomicNames, key)
 				}
 			}
 		}
@@ -214,80 +351,6 @@ func collectContracts(pkgs []*Package) *contracts {
 		return a.tn.Name() < b.tn.Name()
 	})
 	return c
-}
-
-func collectGenDecl(c *contracts, pkg *Package, d *ast.GenDecl) {
-	switch d.Tok {
-	case token.TYPE:
-		for _, s := range d.Specs {
-			ts, ok := s.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{ts.Doc, ts.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-			if tn == nil {
-				continue
-			}
-			if _, ok := directiveIn("shardowned", docs...); ok {
-				c.shardOwned[typeKey(tn)] = true
-				c.shardNames = append(c.shardNames, pkg.Path+"."+ts.Name.Name)
-			}
-			if rest, ok := directiveIn("layout", docs...); ok {
-				if _, isStruct := ts.Type.(*ast.StructType); isStruct {
-					if spec, err := parseLayoutSpec(rest); err == nil {
-						c.layouts = append(c.layouts, layoutPin{tn: tn, spec: spec, pos: ts.Pos(), pkg: pkg})
-					}
-					// Parse errors surface via collectMalformed.
-				}
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			var atomicFields []string
-			for _, fld := range st.Fields.List {
-				if _, ok := directiveIn("atomic", fld.Doc, fld.Comment); !ok {
-					continue
-				}
-				for _, name := range fld.Names {
-					if pkg.Info.Defs[name] == nil {
-						continue
-					}
-					c.atomicObjs[typeKey(tn)+"."+name.Name] = ts.Name.Name + "." + name.Name
-					c.atomicNames = append(c.atomicNames, pkg.Path+"."+ts.Name.Name+"."+name.Name)
-					atomicFields = append(atomicFields, name.Name)
-				}
-			}
-			if len(atomicFields) > 0 {
-				c.atomicOwners[typeKey(tn)] = strings.Join(atomicFields, ", ")
-			}
-		}
-	case token.VAR:
-		for _, s := range d.Specs {
-			vs, ok := s.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{vs.Doc, vs.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			if _, ok := directiveIn("atomic", docs...); !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				if pkg.Info.Defs[name] == nil {
-					continue
-				}
-				c.atomicObjs[pkg.Path+"."+name.Name] = name.Name
-				c.atomicNames = append(c.atomicNames, pkg.Path+"."+name.Name)
-			}
-		}
-	}
 }
 
 // ownedIn reports the shard-owned type reachable from t by unwrapping
@@ -331,14 +394,10 @@ func typeKey(tn *types.TypeName) string {
 // or "" when obj is anything else (locals and fields never match, so a
 // local shadowing an annotated var cannot trip the analyzer).
 func atomicVarKey(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() || v.Pkg() == nil {
+	if v, ok := obj.(*types.Var); !ok || !isPkgLevel(v) {
 		return ""
 	}
-	if sc := v.Parent(); sc == nil || sc.Parent() != types.Universe {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
+	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // atomicFieldKey returns the contracts key for a field selected from a

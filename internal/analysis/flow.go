@@ -1,11 +1,11 @@
 package analysis
 
 // flow.go is the shared intra-procedural def-use/escape pass behind the
-// dataflow analyzers (timerown, detaint). It walks one function body in
-// execution order, carrying a client-defined abstract fact per tracked
-// storage location (a local variable, a parameter, or a one-level field
-// of one, e.g. s.rtoTimer). Control flow is approximated the standard
-// way:
+// dataflow analyzers (timerown, maprange, noalloc). It walks one
+// function body in execution order, carrying a client-defined abstract
+// fact per tracked storage location (a local variable, a parameter, or
+// a one-level field of one, e.g. s.rtoTimer). Control flow is
+// approximated the standard way:
 //
 //   - branches (if/switch/select) analyze each arm on a clone of the
 //     incoming state and join the results with the client's lattice
@@ -181,6 +181,9 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 	case *ast.AssignStmt:
 		w.assign(s, st)
 	case *ast.IncDecStmt:
+		if _, ok := RefOf(w.info, s.X); !ok {
+			w.expr(s.X, st, UseRead) // m[f()]++ reads f()
+		}
 		if w.hooks.Assign != nil {
 			w.hooks.Assign(s.X, nil, s.Tok, st)
 		}
@@ -241,6 +244,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		w.branches(st, s.Body)
 	case *ast.TypeSwitchStmt:
 		w.stmt(s.Init, st)
+		w.stmt(s.Assign, st)
 		w.branches(st, s.Body)
 	case *ast.SelectStmt:
 		w.branches(st, s.Body)

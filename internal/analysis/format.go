@@ -7,36 +7,9 @@ import (
 	"strings"
 )
 
-// format.go renders diagnostics machine-readably: plain JSON for
-// scripting, SARIF 2.1.0 for GitHub code scanning, and GitHub workflow
-// annotation commands for inline PR review comments.
-
-// jsonDiagnostic is the stable JSON wire form of one Diagnostic.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON writes the diagnostics as an indented JSON array (an empty
-// array when clean, never null).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// format.go renders diagnostics machine-readably: SARIF 2.1.0 for
+// GitHub code scanning, and GitHub workflow annotation commands for
+// inline PR review comments.
 
 // SARIF 2.1.0 document shape, the subset GitHub code scanning consumes.
 type sarifLog struct {

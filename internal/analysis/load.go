@@ -25,6 +25,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	dirs []directive // the //taq: comment index, built on first use
 }
 
 // LoadError reports a package that failed to list, parse, or

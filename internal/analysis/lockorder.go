@@ -374,6 +374,8 @@ func shortPkgPath(p string) string {
 	return strings.TrimPrefix(p, "taq/internal/")
 }
 
+// isPkgLevel reports whether v is a package-level variable (never a
+// local or a struct field).
 func isPkgLevel(v *types.Var) bool {
 	sc := v.Parent()
 	return v.Pkg() != nil && sc != nil && sc.Parent() == types.Universe

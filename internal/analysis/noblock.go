@@ -7,6 +7,9 @@ package analysis
 // real-time callbacks through one mutex; its Engine methods are
 // allowlisted via Config.NoblockAllow so the finding set stays
 // actionable (lockdiscipline already checks that pattern's pairing).
+// Wall-clock calls come from wallclock's table; in a deterministic
+// package they are wallclock's findings, so noblock reports them only
+// outside that set (emu).
 
 import (
 	"go/ast"
@@ -19,15 +22,6 @@ var NoBlock = &Analyzer{
 	Name: "noblock",
 	Doc:  "//taq:hotpath closure functions must not block (channels, select, sync locks, time.Now, syscalls)",
 	Run:  runNoBlock,
-}
-
-// blockingTimeFuncs are the package-level time functions that read the
-// wall clock or arm real timers. Methods on time.Time/Duration are
-// pure arithmetic and stay legal.
-var blockingTimeFuncs = map[string]bool{
-	"Now": true, "Sleep": true, "Since": true, "Until": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
-	"AfterFunc": true,
 }
 
 // blockingSyncMethods are the sync methods that can park a goroutine.
@@ -75,14 +69,7 @@ func checkNoBlock(pass *Pass, n *FuncNode) {
 }
 
 func checkBlockingCall(pass *Pass, n *FuncNode, call *ast.CallExpr) {
-	info := n.Pkg.Info
-	var callee *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		callee, _ = usedFunc(info, fun)
-	case *ast.SelectorExpr:
-		callee, _ = usedFunc(info, fun.Sel)
-	}
+	callee, _ := calleeObj(n.Pkg.Info, call.Fun).(*types.Func)
 	if callee == nil || callee.Pkg() == nil {
 		return
 	}
@@ -93,7 +80,9 @@ func checkBlockingCall(pass *Pass, n *FuncNode, call *ast.CallExpr) {
 			hotf(pass, n, call.Pos(), "sync acquisition %s may block", exprString(call))
 		}
 	case "time":
-		if callee.Type().(*types.Signature).Recv() == nil && blockingTimeFuncs[name] {
+		// In a deterministic package a wall-clock call is wallclock's
+		// finding, which a //taq:allow(func) noblock must not silence.
+		if isWallClock(callee) && !pass.Cfg.IsDeterministic(pass.Pkg.Path) {
 			hotf(pass, n, call.Pos(), "wall-clock call %s", exprString(call))
 		}
 	case "os", "syscall", "net":

@@ -115,8 +115,11 @@ func checkShardFunc(pass *Pass, fd *ast.FuncDecl, c *contracts) {
 func checkShardStore(pass *Pass, as *ast.AssignStmt, c *contracts) {
 	info := pass.Pkg.Info
 	for i, lhs := range as.Lhs {
-		base := baseIdent(lhs)
-		if base == nil || !isPkgLevelVar(info, base) {
+		base, _ := lvalueBase(lhs, nil)
+		if base == nil {
+			continue
+		}
+		if v, ok := info.Uses[base].(*types.Var); !ok || !isPkgLevel(v) {
 			continue
 		}
 		// Prefer the stored value's type: the global may be typed as an
@@ -216,35 +219,4 @@ func checkShardCall(pass *Pass, call *ast.CallExpr, c *contracts) {
 		pass.Reportf(arg.Pos(), "shard-owned %s passed across the package boundary to %s — annotate the callee //taq:crossshard or keep the call inside %s",
 			ownerLabel(tn), shortFuncName(callee.FullName()), owner.Path())
 	}
-}
-
-// baseIdent unwraps an lvalue to its leftmost identifier: g, g.f,
-// g[i].f, (*g).f all resolve to g.
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// isPkgLevelVar reports whether id names a package-level variable.
-func isPkgLevelVar(info *types.Info, id *ast.Ident) bool {
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok || v.IsField() {
-		return false
-	}
-	sc := v.Parent()
-	return sc != nil && sc.Parent() == types.Universe
 }

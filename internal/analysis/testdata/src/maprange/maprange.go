@@ -104,3 +104,54 @@ func allowed(m map[int]float64) float64 {
 	}
 	return t
 }
+
+// A map range inside a function literal is checked like any other.
+func inClosure(m map[int]int, s sched) func() {
+	return func() {
+		for k := range m { // want `calls s\.Schedule`
+			s.Schedule(k)
+		}
+	}
+}
+
+// The sort must follow the loop inside the closure that runs it: a
+// sort in the enclosing function does not order the closure's appends.
+func sortOutsideClosure(m map[int]int) []int {
+	var out []int
+	collect := func() {
+		for k := range m { // want `appends to out without sorting it afterwards`
+			out = append(out, k)
+		}
+	}
+	collect()
+	sort.Ints(out)
+	return out
+}
+
+// Closures in an increment's operand, a type switch guard, and a
+// package-level initializer are checked too.
+func inIncDec(m map[int]int, s sched, counts map[int]int) {
+	counts[func() int {
+		for k := range m { // want `calls s\.Schedule`
+			s.Schedule(k)
+		}
+		return 0
+	}()]++
+}
+
+func inTypeSwitch(m map[int]int, s sched) {
+	switch func() any {
+		for k := range m { // want `calls s\.Schedule`
+			s.Schedule(k)
+		}
+		return nil
+	}().(type) {
+	case nil:
+	}
+}
+
+var pkgLevel = func(m map[int]int, s sched) {
+	for k := range m { // want `calls s\.Schedule`
+		s.Schedule(k)
+	}
+}

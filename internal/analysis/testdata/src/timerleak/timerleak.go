@@ -33,7 +33,7 @@ func (s *Stoppable) KickKept() {
 
 // KickAllowed demonstrates suppression.
 func (s *Stoppable) KickAllowed() {
-	//taq:allow timerleak (fire-once timer gated by the engine stop flag)
+	//taq:allow timerown (fire-once timer gated by the engine stop flag)
 	s.run.Schedule(1, func() {})
 }
 

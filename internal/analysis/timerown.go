@@ -6,13 +6,14 @@ import (
 	"go/types"
 )
 
-// TimerOwn enforces the engine's timer free-list ownership contract
-// (DESIGN.md §5): sim.Reschedule / Engine.Reschedule take ownership of
-// the handle passed in — the struct may be re-armed in place for an
-// unrelated event — so the only valid handle afterwards is the one
-// Reschedule returns. The analyzer tracks *sim.Timer handles through
-// the intra-procedural flow pass and flags, along any control-flow
-// path where the handle was not replaced:
+// TimerOwn checks *sim.Timer handles against two contracts.
+//
+// Ownership (DESIGN.md §5): sim.Reschedule / Engine.Reschedule take
+// ownership of the handle passed in — the struct may be re-armed in
+// place for an unrelated event — so the only valid handle afterwards is
+// the one Reschedule returns. The analyzer tracks handles through the
+// intra-procedural flow pass and flags, along any control-flow path
+// where the handle was not replaced:
 //
 //   - a plain use (read, argument, return) of the stale handle;
 //   - Cancel/Stop on it — by then the struct may have been recycled
@@ -22,12 +23,24 @@ import (
 //   - discarding Reschedule's result, which makes every existing
 //     handle stale with no replacement.
 //
-// The sim package itself (which implements the recycling) is exempt.
+// Teardown: a *sim.Timer returned by any call (Schedule, Reschedule,
+// a helper) and discarded inside a method of a type that has a
+// teardown path (Stop/Close/Shutdown/Teardown) can never be canceled:
+// after teardown it either fires into freed state or — in the
+// real-time engine — keeps a goroutine timer alive. Types without a
+// teardown path run to quiescence, so fire-and-forget is fine there.
+//
+// A discarded handle is reported once: as a discarded Reschedule result
+// when it is one, otherwise as a leak from a type with a teardown path.
+// The sim package itself, which implements the recycling, is exempt
+// from the ownership rules but not from the teardown rule.
 var TimerOwn = &Analyzer{
 	Name: "timerown",
-	Doc:  "flag uses of *sim.Timer handles after Reschedule transferred their ownership",
+	Doc:  "flag uses of *sim.Timer handles after Reschedule transferred their ownership, and discarded timers in types with a teardown path",
 	Run:  runTimerOwn,
 }
+
+var teardownNames = []string{"Stop", "Close", "Shutdown", "Teardown"}
 
 // Timer ownership facts.
 const (
@@ -44,16 +57,18 @@ func ownJoin(a, b int) int {
 }
 
 func runTimerOwn(p *Pass) {
-	if isSimPackage(p.Pkg.Path) {
-		return // the engine legally touches recycled structs
-	}
+	// The engine legally touches recycled structs.
+	inSim := isSimPackage(p.Pkg.Path)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkTimerOwn(p, fd.Body)
+			if !inSim {
+				checkTimerOwn(p, fd.Body)
+			}
+			checkDiscardedTimers(p, fd, inSim)
 		}
 	}
 }
@@ -118,7 +133,7 @@ func checkTimerOwn(p *Pass, body *ast.BlockStmt) {
 			}
 		},
 		Use: func(e ast.Expr, r Ref, ctx UseCtx, st FlowState) {
-			if !isSimTimerPtr(typeOfRef(info, e)) {
+			if !isSimTimerPtr(info.TypeOf(e)) {
 				return
 			}
 			fact := st.Get(r)
@@ -146,24 +161,39 @@ func checkTimerOwn(p *Pass, body *ast.BlockStmt) {
 		},
 	}
 	WalkFlow(info, body, nil, hooks)
+}
 
-	// Discarded Reschedule results are a syntactic check: the returned
-	// handle is the only valid one, so dropping it strands the caller
-	// with nothing but stale aliases.
-	ast.Inspect(body, func(n ast.Node) bool {
+// checkDiscardedTimers is the statement pass over discarded *sim.Timer
+// results in fd, closures included.
+func checkDiscardedTimers(p *Pass, fd *ast.FuncDecl, inSim bool) {
+	info := p.Pkg.Info
+	var owner *types.Named
+	td := ""
+	if fd.Recv != nil {
+		if owner = receiverNamed(info, fd); owner != nil {
+			td = teardownMethod(owner)
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		es, ok := n.(*ast.ExprStmt)
 		if !ok {
 			return true
 		}
 		call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-		if !ok {
+		if !ok || !isSimTimerPtr(info.TypeOf(call)) {
 			return true
 		}
-		if rescheduleHandleArg(info, call) == nil || !isSimTimerPtr(info.TypeOf(call)) {
-			return true
+		switch {
+		case !inSim && rescheduleHandleArg(info, call) != nil:
+			// The returned handle is the only valid one, so dropping it
+			// strands the caller with nothing but stale aliases.
+			p.Reportf(es.Pos(),
+				"discarded Reschedule result: the returned handle replaces the one passed in; assign it back (t = sim.Reschedule(r, t, ...))")
+		case td != "":
+			p.Reportf(es.Pos(),
+				"discarded *sim.Timer from %s; %s has a teardown path (%s) — keep the timer and Cancel it there",
+				exprString(call.Fun), owner.Obj().Name(), td)
 		}
-		p.Reportf(es.Pos(),
-			"discarded Reschedule result: the returned handle replaces the one passed in; assign it back (t = sim.Reschedule(r, t, ...))")
 		return true
 	})
 }
@@ -203,9 +233,41 @@ func cancelReceiver(info *types.Info, call *ast.CallExpr) ast.Expr {
 	return sel.X
 }
 
-// typeOfRef resolves the static type of the expression behind a Use.
-func typeOfRef(info *types.Info, e ast.Expr) types.Type {
-	return info.TypeOf(e)
+// receiverNamed resolves the receiver's named type (through pointers).
+func receiverNamed(info *types.Info, fd *ast.FuncDecl) *types.Named {
+	if len(fd.Recv.List) == 0 {
+		return nil
+	}
+	t := info.TypeOf(fd.Recv.List[0].Type)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// teardownMethod returns the name of the type's teardown method, or "".
+func teardownMethod(named *types.Named) string {
+	ms := types.NewMethodSet(types.NewPointer(named))
+	for i := 0; i < ms.Len(); i++ {
+		name := ms.At(i).Obj().Name()
+		for _, td := range teardownNames {
+			if name == td {
+				return name
+			}
+		}
+	}
+	return ""
+}
+
+// isSimTimerPtr reports whether t is *sim.Timer.
+func isSimTimerPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Timer" && named.Obj().Pkg() != nil && isSimPackage(named.Obj().Pkg().Path())
 }
 
 // isSimPackage reports whether pkgPath is the sim engine package.

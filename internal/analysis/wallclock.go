@@ -17,10 +17,12 @@ var Wallclock = &Analyzer{
 	Run:  runWallclock,
 }
 
-// forbiddenTimeFuncs are the package time entry points that read or
-// wait on the host clock. time.Duration arithmetic and constants stay
-// legal (sim.Time converts through time.Duration).
-var forbiddenTimeFuncs = map[string]bool{
+// wallClockFuncs are the package time entry points that read or wait
+// on the host clock: the one table behind wallclock (deterministic
+// packages) and noblock (hot paths outside them). time.Duration
+// arithmetic and constants, and methods on time.Time, stay legal
+// (sim.Time converts through time.Duration).
+var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
 	"Until":     true,
@@ -30,6 +32,12 @@ var forbiddenTimeFuncs = map[string]bool{
 	"NewTimer":  true,
 	"NewTicker": true,
 	"AfterFunc": true,
+}
+
+// isWallClock reports whether fn is one of those time functions.
+func isWallClock(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == "time" &&
+		fn.Type().(*types.Signature).Recv() == nil && wallClockFuncs[fn.Name()]
 }
 
 // allowedRandFuncs are math/rand constructors: building a locally
@@ -57,25 +65,21 @@ func runWallclock(p *Pass) {
 			if !ok {
 				return true
 			}
-			pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName)
-			if !ok {
+			if _, ok := p.Pkg.Info.Uses[id].(*types.PkgName); !ok {
 				return true
 			}
-			switch pn.Imported().Path() {
+			fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			if !ok {
+				return true // a type or constant, e.g. rand.Rand
+			}
+			switch fn.Pkg().Path() {
 			case "time":
-				if forbiddenTimeFuncs[sel.Sel.Name] {
+				if isWallClock(fn) {
 					p.Reportf(sel.Pos(),
 						"wall-clock %s.%s in deterministic package %s; take time from the sim.Runner (Now/Schedule)",
 						id.Name, sel.Sel.Name, base)
 				}
 			case "math/rand", "math/rand/v2":
-				fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok {
-					return true // a type or constant, e.g. rand.Rand
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // method on *rand.Rand: fine
-				}
 				if !allowedRandFuncs[sel.Sel.Name] {
 					p.Reportf(sel.Pos(),
 						"global %s.%s in deterministic package %s; plumb a *rand.Rand from sim.Runner.Rand()",

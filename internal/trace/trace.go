@@ -137,7 +137,13 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Parse reads a log in Write's format.
+// maxSeconds bounds a record's time: sim.Time counts int64
+// nanoseconds, so anything at or past MaxInt64 ns would overflow.
+const maxSeconds = float64(math.MaxInt64) / float64(sim.Second)
+
+// Parse reads a log in Write's format. A record whose time is not a
+// finite number of seconds in [0, maxSeconds), or whose client or size
+// is negative, is an error naming its line.
 func Parse(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -152,6 +158,12 @@ func Parse(r io.Reader) ([]Record, error) {
 		var client, size int
 		if _, err := fmt.Sscanf(text, "%f %d %d", &secs, &client, &size); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %v", line, err)
+		}
+		if !(secs >= 0 && secs < maxSeconds) {
+			return nil, fmt.Errorf("trace: line %d: time %v s is not in [0, %.0f)", line, secs, maxSeconds)
+		}
+		if client < 0 || size < 0 {
+			return nil, fmt.Errorf("trace: line %d: negative client %d or size %d", line, client, size)
 		}
 		recs = append(recs, Record{Time: sim.FromSeconds(secs), Client: client, Size: size})
 	}

@@ -144,6 +144,63 @@ func TestParseErrorsAndComments(t *testing.T) {
 	}
 }
 
+func TestParseRejectsOutOfRange(t *testing.T) {
+	cases := []struct{ name, record, want string }{
+		{"NaN time", "NaN 1 100", "time NaN"},
+		{"infinite time", "Inf 1 100", "time +Inf"},
+		{"negative infinite time", "-Inf 1 100", "time -Inf"},
+		{"time past sim.Time", "1e300 1 100", "time 1e+300"},
+		{"negative time", "-5 1 100", "time -5"},
+		{"negative client", "1 -3 100", "negative client -3"},
+		{"negative size", "1 3 -100", "size -100"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recs, err := Parse(strings.NewReader("# header\n0.5 1 10\n" + c.record + "\n"))
+			if err == nil {
+				t.Fatalf("Parse accepted %q as %+v", c.record, recs)
+			}
+			if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q, want line 3 and %q", err, c.want)
+			}
+		})
+	}
+	// The range edges that stay legal.
+	recs, err := Parse(strings.NewReader("0 0 0\n9223372036 1 1\n"))
+	if err != nil || len(recs) != 2 || recs[1].Time != 9223372036*sim.Second {
+		t.Errorf("edge records: %v, %v", recs, err)
+	}
+}
+
+// FuzzParse feeds arbitrary text to Parse: it never panics, and every
+// record it accepts has a non-negative time (a time that overflowed
+// sim.Time would be negative), client, and size.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"0.5 1 100\n",
+		"# comment\n\n1.5 3 1000\n2 4 5\n",
+		"NaN 1 100\n",
+		"1e300 1 100\n",
+		"-5 1 100\n",
+		"1 -3 -100\n",
+		"9223372036.854775 1 1\n",
+		"not a record\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, r := range recs {
+			if r.Time < 0 || r.Client < 0 || r.Size < 0 {
+				t.Fatalf("record %d accepted out of range: %+v", i, r)
+			}
+		}
+	})
+}
+
 func TestWindow(t *testing.T) {
 	recs := []Record{
 		{Time: 1 * sim.Second}, {Time: 5 * sim.Second}, {Time: 9 * sim.Second},
